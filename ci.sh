@@ -9,6 +9,9 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> benchmark harness builds against the public API and passes its unit tests"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> workspace tests with a 2-worker pool (FUNSEEKER_CORES=2)"
 FUNSEEKER_CORES=2 cargo test --workspace -q
 
@@ -54,8 +57,13 @@ echo "==> funseeker --callgraph smoke on a real ELF"
 cargo run --release -q -p funseeker-server --bin funseeker -- \
   --callgraph target/release/funseeker | grep "direct edges" > /dev/null
 
-echo "==> serve smoke: daemon results must match direct analysis"
 FUNSEEKER=target/release/funseeker
+
+echo "==> funseeker into a reader that stops early: a quiet stop, not a panic"
+"$FUNSEEKER" "$FUNSEEKER" | head -1 > /dev/null
+"$FUNSEEKER" --disasm "$FUNSEEKER" | head -1 > /dev/null
+
+echo "==> serve smoke: daemon results must match direct analysis"
 SOCK="$(mktemp -d)/funseeker-ci.sock"
 "$FUNSEEKER" serve --listen "unix:$SOCK" &
 SERVE_PID=$!

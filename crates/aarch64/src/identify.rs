@@ -20,6 +20,7 @@
 use std::collections::BTreeSet;
 
 use funseeker::tailcall::select_tail_calls;
+use funseeker::FuncSet;
 use funseeker_elf::Elf;
 
 use crate::decode::sweep_a64;
@@ -83,7 +84,7 @@ impl BtiSeeker {
 
         let mut landings = BTreeSet::new();
         let mut bti_j = 0usize;
-        let mut call_targets = BTreeSet::new();
+        let mut calls = Vec::new();
         let mut jmp_edges: Vec<(u64, u64)> = Vec::new();
         for (addr, kind) in sweep_a64(text, text_addr) {
             if kind.is_call_landing() {
@@ -93,7 +94,7 @@ impl BtiSeeker {
             }
             match kind {
                 crate::decode::A64Kind::Bl { target } if in_text(target) => {
-                    call_targets.insert(target);
+                    calls.push(target);
                 }
                 crate::decode::A64Kind::B { target } if in_text(target) => {
                     jmp_edges.push((addr, target));
@@ -104,7 +105,7 @@ impl BtiSeeker {
 
         let landing_count = landings.len();
         let mut functions = landings;
-        functions.extend(call_targets.iter().copied());
+        functions.extend(FuncSet::from_iter(calls));
 
         let mut tail_count = 0;
         if self.config.select_tail_calls {

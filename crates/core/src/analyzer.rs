@@ -252,7 +252,7 @@ impl FunSeeker {
         let t = Instant::now();
         scratch.functions.clear();
         scratch.functions.extend_from_slice(&scratch.entries);
-        scratch.functions.extend(sweep.call_targets.iter().copied());
+        scratch.functions.extend_from_slice(&sweep.call_targets);
         scratch.functions.sort_unstable();
         scratch.functions.dedup();
 

@@ -6,22 +6,17 @@
 //! the evaluation harness all consume the same decode pass instead of
 //! re-sweeping the image. Each code region is swept independently (the
 //! sweep restarts at every region base) using the sharded parallel sweep,
-//! which is bit-identical to the sequential one.
+//! which is bit-identical to the sequential one, straight into the
+//! index's one stream.
 
 use std::collections::BTreeSet;
 
-use funseeker_disasm::{kernels, par_sweep, InsnKind, InsnStream, Insns, KernelTier, SweepStats};
+use funseeker_disasm::{
+    kernels, par_sweep_into, InsnKind, InsnStream, Insns, KernelTier, SweepStats,
+};
 
+use crate::funcset::FuncSet;
 use crate::parse::Parsed;
-
-/// Width bound for the parallel sweep: the *actual* pool width — which
-/// honors `FUNSEEKER_CORES`/`--cores` — rather than a fresh
-/// `available_parallelism` guess that could disagree with the pool the
-/// shards actually run on. The morsel count itself is derived inside
-/// `par_sweep` from region size × this width.
-fn sweep_shards() -> usize {
-    funseeker_pool::global().workers()
-}
 
 /// Per-region slice of the global instruction stream.
 #[derive(Debug, Clone)]
@@ -47,8 +42,9 @@ pub struct SweepIndex {
     pub regions: Vec<RegionSpan>,
     /// `E`: addresses of end-branch instructions in the code.
     pub endbrs: Vec<u64>,
-    /// `C`: direct call targets that land inside the analyzed code.
-    pub call_targets: BTreeSet<u64>,
+    /// `C`: direct call targets that land inside the analyzed code, as
+    /// a sorted, deduplicated set.
+    pub call_targets: FuncSet,
     /// Direct unconditional jumps: `(site, target)` pairs with in-code
     /// targets — the raw `J` with provenance, which SELECTTAILCALL needs.
     pub jmp_edges: Vec<(u64, u64)>,
@@ -122,38 +118,50 @@ pub fn scan_endbr_pattern(p: &Parsed<'_>) -> Vec<u64> {
 }
 
 /// Sweeps every code region and builds the shared index.
+///
+/// Each region's sweep appends to the index stream itself, sized up
+/// front for all the code and trimmed to its instructions at the end.
+/// `E`, `C` and `J` then come from one [`InsnStream::marks`] scan of the
+/// finished stream's tag array.
 pub fn disassemble(p: &Parsed<'_>) -> SweepIndex {
     let mode = p.mode();
-    let shards = sweep_shards();
-    let mut out = SweepIndex::default();
+    let code_bytes = p.code.regions().iter().map(|r| r.bytes.len()).sum();
+    let mut out =
+        SweepIndex { insns: InsnStream::with_byte_capacity(code_bytes), ..SweepIndex::default() };
     for region in p.code.regions() {
-        let swept = par_sweep(region.bytes, region.addr, mode, shards);
         let first = out.insns.len();
-        for insn in &swept.stream {
-            match insn.kind {
-                InsnKind::Endbr64 | InsnKind::Endbr32 => out.endbrs.push(insn.addr),
-                InsnKind::CallRel { target } => {
-                    out.call_sites.push((insn.end(), target));
-                    if p.in_code(target) {
-                        out.call_targets.insert(target);
-                    }
-                }
-                InsnKind::JmpRel { target } if p.in_code(target) => {
-                    out.jmp_edges.push((insn.addr, target));
-                }
-                _ => {}
-            }
-        }
-        out.insns.append(&swept.stream);
+        // No width cap: the sweep shards to the pool's own width, which
+        // honors `FUNSEEKER_CORES`/`--cores`.
+        let stats = par_sweep_into(&mut out.insns, region.bytes, region.addr, mode, usize::MAX);
+        let errors = stats.decode_errors as usize;
         out.regions.push(RegionSpan {
             start: region.addr,
             end: region.end(),
             insn_range: first..out.insns.len(),
-            decode_errors: swept.error_count,
+            decode_errors: errors,
         });
-        out.decode_errors += swept.error_count;
-        out.stats.merge(&swept.stats);
+        out.decode_errors += errors;
+        out.stats.merge(&stats);
     }
+    out.insns.shrink_to_fit();
+
+    let mut calls = Vec::new();
+    for insn in out.insns.marks() {
+        match insn.kind {
+            InsnKind::Endbr64 | InsnKind::Endbr32 => out.endbrs.push(insn.addr),
+            InsnKind::CallRel { target } => {
+                out.call_sites.push((insn.end(), target));
+                if p.in_code(target) {
+                    calls.push(target);
+                }
+            }
+            InsnKind::JmpRel { target } if p.in_code(target) => {
+                out.jmp_edges.push((insn.addr, target));
+            }
+            _ => {}
+        }
+    }
+    out.call_targets = FuncSet::from_iter(calls);
     // Seal the finished stream: FILTERENDBR / SELECTTAILCALL probe it
     // with `insn_at` / `insns_in` millions of times, and sealing turns
     // each probe's binary search into an O(1) bitmap rank query.
@@ -247,6 +255,99 @@ mod tests {
         assert_eq!(s.insns_in(0x2000, 0x2005).len(), 2);
         assert_eq!(s.insn_at(0x2004), Some(s.insns.len() - 1));
         assert_eq!(s.region_starts(), vec![0x1000, 0x2000]);
+    }
+
+    /// The index build before the tag scan, kept as the oracle: each
+    /// region swept into a stream of its own, walked as [`Insn`] values
+    /// and copied into the index, with `C` gathered in a `BTreeSet`.
+    ///
+    /// [`Insn`]: funseeker_disasm::Insn
+    fn disassemble_by_iteration(p: &Parsed<'_>) -> SweepIndex {
+        let mode = p.mode();
+        let shards = funseeker_pool::global().workers();
+        let mut out = SweepIndex::default();
+        let mut call_targets = BTreeSet::new();
+        for region in p.code.regions() {
+            let swept = funseeker_disasm::par_sweep(region.bytes, region.addr, mode, shards);
+            let first = out.insns.len();
+            for insn in &swept.stream {
+                match insn.kind {
+                    InsnKind::Endbr64 | InsnKind::Endbr32 => out.endbrs.push(insn.addr),
+                    InsnKind::CallRel { target } => {
+                        out.call_sites.push((insn.end(), target));
+                        if p.in_code(target) {
+                            call_targets.insert(target);
+                        }
+                    }
+                    InsnKind::JmpRel { target } if p.in_code(target) => {
+                        out.jmp_edges.push((insn.addr, target));
+                    }
+                    _ => {}
+                }
+            }
+            out.insns.append(&swept.stream);
+            out.regions.push(RegionSpan {
+                start: region.addr,
+                end: region.end(),
+                insn_range: first..out.insns.len(),
+                decode_errors: swept.error_count,
+            });
+            out.decode_errors += swept.error_count;
+            out.stats.merge(&swept.stats);
+        }
+        out.call_targets = call_targets.into_iter().collect();
+        out.insns.seal();
+        out
+    }
+
+    /// Asserts `disassemble` builds the oracle's index; returns whether
+    /// `bytes` parsed at all.
+    fn assert_matches_oracle(bytes: &[u8], ctx: &str) -> bool {
+        let Ok(p) = crate::parse::parse(bytes) else { return false };
+        let (got, want) = (disassemble(&p), disassemble_by_iteration(&p));
+        assert_eq!(got.endbrs, want.endbrs, "{ctx}: E");
+        assert_eq!(got.call_targets, want.call_targets, "{ctx}: C");
+        assert_eq!(got.jmp_edges, want.jmp_edges, "{ctx}: J");
+        assert_eq!(got.call_sites, want.call_sites, "{ctx}: call sites");
+        assert_eq!(got.insns.to_insns(), want.insns.to_insns(), "{ctx}: instructions");
+        let spans = |s: &SweepIndex| -> Vec<_> {
+            s.regions
+                .iter()
+                .map(|r| (r.start, r.end, r.insn_range.clone(), r.decode_errors))
+                .collect()
+        };
+        assert_eq!(spans(&got), spans(&want), "{ctx}: regions");
+        assert_eq!(got.decode_errors, want.decode_errors, "{ctx}: decode errors");
+        // Every counter but the two clocks.
+        let work = |s: &SweepStats| SweepStats { decode_ns: 0, stitch_ns: 0, ..*s };
+        assert_eq!(work(&got.stats), work(&want.stats), "{ctx}: sweep counters");
+        for i in (0..got.insns.len()).step_by(97) {
+            let addr = got.insns.addr_at(i);
+            assert_eq!(got.insn_at(addr), want.insn_at(addr), "{ctx}: insn_at({addr:#x})");
+        }
+        true
+    }
+
+    #[test]
+    fn index_build_matches_the_iterating_oracle() {
+        use funseeker_corpus::{Dataset, DatasetParams, Mutator};
+        let ds = Dataset::generate(&DatasetParams::tiny(), 0x7A65);
+        for bin in &ds.binaries {
+            let ctx = format!("{} {}", bin.program, bin.config.label());
+            assert!(assert_matches_oracle(&bin.bytes, &ctx), "{ctx}: pristine image parses");
+        }
+        // Hostile mutants of the same images.
+        let mut parsed = 0;
+        for seed in 0..96u64 {
+            let bin = &ds.binaries[seed as usize % ds.binaries.len()];
+            let (mutant, corruption) = Mutator::new(seed).mutate(&bin.bytes);
+            let ctx = format!("{} under {}", bin.program, corruption.label());
+            parsed += usize::from(assert_matches_oracle(&mutant, &ctx));
+        }
+        assert!(parsed > 24, "only {parsed} of 96 mutants parsed");
+        // A multi-megabyte image, whose text shards across the pool.
+        let own = std::fs::read("/proc/self/exe").unwrap();
+        assert!(assert_matches_oracle(&own, "this test binary"));
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl AnalysisPlan {
         // --- Candidate bases and the jump-target set. ---
         let t = Instant::now();
         self.call_targets.clear();
-        self.call_targets.extend(sweep.call_targets.iter().copied());
+        self.call_targets.extend_from_slice(&sweep.call_targets);
         merge_union_into(&self.entries_all, &self.call_targets, &mut self.cands_unfiltered);
         merge_union_into(&self.entries_filtered, &self.call_targets, &mut self.cands_filtered);
         self.jmp_targets.clear();

@@ -76,6 +76,12 @@ impl BitRank {
         self.cur = 0;
     }
 
+    /// Releases capacity beyond the bits pushed so far.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+        self.rank.shrink_to_fit();
+    }
+
     /// Heap footprint in bytes.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.words.len() * 8 + self.rank.len() * 4

@@ -47,9 +47,9 @@ pub use insn::{Insn, InsnKind};
 pub use kernels::KernelTier;
 pub use mode::Mode;
 pub use par::{
-    par_sweep, par_sweep_forced, par_sweep_forced_pooled, par_sweep_pooled, sweep_all,
-    sweep_all_tiered, SweepOutput, PAR_MIN_BYTES,
+    par_sweep, par_sweep_forced, par_sweep_forced_pooled, par_sweep_into, par_sweep_pooled,
+    sweep_all, sweep_all_tiered, SweepOutput, PAR_MIN_BYTES,
 };
 pub use stats::SweepStats;
-pub use stream::{Flow, InsnStream, Insns, Successors};
+pub use stream::{Flow, InsnStream, Insns, Marks, Successors};
 pub use sweep::{LinearSweep, SupersetSweep};

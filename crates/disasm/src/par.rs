@@ -257,26 +257,37 @@ pub fn sweep_all(code: &[u8], base: u64, mode: Mode) -> SweepOutput {
 /// differential suite and the per-kernel benches use to prove every tier
 /// produces the same stream.
 pub fn sweep_all_tiered(code: &[u8], base: u64, mode: Mode, tier: KernelTier) -> SweepOutput {
-    let t0 = Instant::now();
+    collect(code, |stream| sweep_into(stream, code, base, mode, tier))
+}
+
+/// Runs an appending sweep of `code` into a fresh stream sized for it.
+fn collect(code: &[u8], sweep: impl FnOnce(&mut InsnStream) -> SweepStats) -> SweepOutput {
     let mut stream = InsnStream::with_byte_capacity(code.len());
+    let stats = sweep(&mut stream);
+    SweepOutput { stream, error_count: stats.decode_errors as usize, stats }
+}
+
+/// The sequential sweep, appended to `stream` as a new segment based at
+/// `base`. Returns this region's counters; `decode_errors` is its
+/// §IV-B skip count.
+fn sweep_into(
+    stream: &mut InsnStream,
+    code: &[u8],
+    base: u64,
+    mode: Mode,
+    tier: KernelTier,
+) -> SweepStats {
+    let t0 = Instant::now();
+    let first = stream.len();
+    stream.reserve(code.len() / 3);
     stream.begin_segment(base);
     let mut stats = SweepStats { bytes: code.len() as u64, shards: 1, ..SweepStats::default() };
     let mut error_count = 0usize;
-    sweep_range(
-        code,
-        base,
-        mode,
-        0,
-        code.len(),
-        tier,
-        &mut stream,
-        |_| error_count += 1,
-        &mut stats,
-    );
+    sweep_range(code, base, mode, 0, code.len(), tier, stream, |_| error_count += 1, &mut stats);
     stats.decode_ns = t0.elapsed().as_nanos() as u64;
-    stats.insns = stream.len() as u64;
+    stats.insns = (stream.len() - first) as u64;
     stats.decode_errors = error_count as u64;
-    SweepOutput { stream, error_count, stats }
+    stats
 }
 
 /// Below this size sharding costs more than it saves.
@@ -331,7 +342,28 @@ struct ShardChain {
 /// never slower than sequential. [`par_sweep_forced`] skips the
 /// adaptive checks.
 pub fn par_sweep(code: &[u8], base: u64, mode: Mode, shards: usize) -> SweepOutput {
-    par_sweep_pooled(funseeker_pool::global(), code, base, mode, shards)
+    collect(code, |stream| par_sweep_into(stream, code, base, mode, shards))
+}
+
+/// [`par_sweep`] appending to `stream` as a new segment based at `base`
+/// — how a multi-region index sweeps each region straight into its one
+/// stream, with no per-region stream to copy. Returns this region's
+/// counters; `decode_errors` is its §IV-B skip count.
+///
+/// The global pool is only touched when the region is big enough to
+/// shard ([`PAR_MIN_BYTES`]), so sweeping small inputs never spawns or
+/// pins pool workers.
+pub fn par_sweep_into(
+    stream: &mut InsnStream,
+    code: &[u8],
+    base: u64,
+    mode: Mode,
+    shards: usize,
+) -> SweepStats {
+    if code.len() < PAR_MIN_BYTES {
+        return sweep_into(stream, code, base, mode, KernelTier::active());
+    }
+    par_sweep_pooled_into(funseeker_pool::global(), stream, code, base, mode, shards)
 }
 
 /// [`par_sweep`] on an explicit pool — the hook that lets the multicore
@@ -344,15 +376,23 @@ pub fn par_sweep_pooled(
     mode: Mode,
     shards: usize,
 ) -> SweepOutput {
+    collect(code, |stream| par_sweep_pooled_into(pool, stream, code, base, mode, shards))
+}
+
+fn par_sweep_pooled_into(
+    pool: &funseeker_pool::Pool,
+    stream: &mut InsnStream,
+    code: &[u8],
+    base: u64,
+    mode: Mode,
+    shards: usize,
+) -> SweepStats {
     let width = pool.workers().min(shards.max(1));
-    if width <= 1 || code.len() < PAR_MIN_BYTES {
-        return sweep_all(code, base, mode);
-    }
     let morsels = morsel_count(code.len(), width);
-    if morsels <= 1 {
-        return sweep_all(code, base, mode);
+    if width <= 1 || code.len() < PAR_MIN_BYTES || morsels <= 1 {
+        return sweep_into(stream, code, base, mode, KernelTier::active());
     }
-    par_sweep_forced_pooled(pool, code, base, mode, morsels)
+    par_sweep_forced_into(pool, stream, code, base, mode, morsels)
 }
 
 /// How many morsels an adaptive sweep of `len` bytes splits into on a
@@ -405,14 +445,22 @@ pub fn par_sweep_forced_pooled(
     mode: Mode,
     shards: usize,
 ) -> SweepOutput {
+    collect(code, |stream| par_sweep_forced_into(pool, stream, code, base, mode, shards))
+}
+
+fn par_sweep_forced_into(
+    pool: &funseeker_pool::Pool,
+    stream: &mut InsnStream,
+    code: &[u8],
+    base: u64,
+    mode: Mode,
+    shards: usize,
+) -> SweepStats {
     // The stitch stores shard-relative offsets as u32; a >4 GiB region
     // (never seen in practice) just takes the sequential path.
-    if code.len() > u32::MAX as usize {
-        return sweep_all(code, base, mode);
-    }
     let shards = shards.min(code.len() / MIN_SHARD_BYTES);
-    if shards <= 1 {
-        return sweep_all(code, base, mode);
+    if code.len() > u32::MAX as usize || shards <= 1 {
+        return sweep_into(stream, code, base, mode, KernelTier::active());
     }
     let tier = pool_tier(pool);
 
@@ -438,7 +486,7 @@ pub fn par_sweep_forced_pooled(
     // bytes, hence equal).
     let t_stitch = Instant::now();
     let mut stats = SweepStats::default();
-    let mut stream = InsnStream::new();
+    let first = stream.len();
     stream.begin_segment(base);
     stream.reserve(chains.iter().map(|c| c.stream.len()).sum());
     let mut error_count = 0usize;
@@ -471,13 +519,13 @@ pub fn par_sweep_forced_pooled(
     }
     stats.bytes = code.len() as u64;
     stats.shards = shards as u64;
-    stats.insns = stream.len() as u64;
+    stats.insns = (stream.len() - first) as u64;
     stats.decode_errors = error_count as u64;
     // Per-shard decode_ns sums thread time; keep the larger of that and
     // the wall clock so single-core hosts still report real decode time.
     stats.decode_ns = stats.decode_ns.max(decode_wall_ns);
     stats.stitch_ns = t_stitch.elapsed().as_nanos() as u64;
-    SweepOutput { stream, error_count, stats }
+    stats
 }
 
 fn decode_shard(

@@ -19,8 +19,9 @@
 //! Consumers that want the old value type iterate with [`InsnStream::iter`],
 //! which reconstructs [`Insn`] on the fly in O(1) per item; hot passes
 //! scan the packed arrays directly via the indexed accessors
-//! ([`InsnStream::addr_at`], [`InsnStream::kind_at`],
-//! [`InsnStream::push_reg_indices`], …).
+//! ([`InsnStream::addr_at`], [`InsnStream::kind_at`], …) or with the
+//! tag-array scans ([`InsnStream::marks`],
+//! [`InsnStream::push_reg_indices`]).
 
 use crate::bitrank::BitRank;
 use crate::insn::{Insn, InsnKind};
@@ -51,6 +52,16 @@ pub(crate) const TAG_PUSH: u8 = 16;
 pub(crate) fn has_target(tag: u8) -> bool {
     (TAG_CALL_REL..TAG_PUSH).contains(&tag)
 }
+
+// Every tag fits in five bits (`TAG_PUSH + 15 == 31`), so a tag set is
+// one `u32` mask and membership one shift.
+const _: () = assert!(TAG_PUSH + 15 < 32);
+
+/// Tags [`InsnStream::marks`] yields: end-branches, direct calls and
+/// direct jumps.
+const MARK_TAGS: u32 = 1 << TAG_ENDBR64 | 1 << TAG_ENDBR32 | 1 << TAG_CALL_REL | 1 << TAG_JMP_REL;
+/// Tags carrying a side-table target — the [`has_target`] set.
+const TARGET_TAGS: u32 = 1 << TAG_CALL_REL | 1 << TAG_JMP_REL | 1 << TAG_JCC;
 
 #[inline]
 fn tag_of(kind: InsnKind) -> (u8, Option<u64>) {
@@ -388,6 +399,19 @@ impl InsnStream {
         self.offs.reserve(additional);
         self.lens.reserve(additional);
         self.tags.reserve(additional);
+    }
+
+    /// Releases the capacity a sweep reserved beyond the instructions it
+    /// decoded ([`InsnStream::with_byte_capacity`] guesses high), so a
+    /// finished stream holds exactly its own instructions. (glibc
+    /// shrinks an allocation in place, without a copy.)
+    pub fn shrink_to_fit(&mut self) {
+        self.offs.shrink_to_fit();
+        self.lens.shrink_to_fit();
+        self.tags.shrink_to_fit();
+        self.tgts.shrink_to_fit();
+        self.tgt_val.shrink_to_fit();
+        self.segs.shrink_to_fit();
     }
 
     /// Number of instructions.
@@ -759,8 +783,17 @@ impl InsnStream {
         self.tags.iter().enumerate().filter(move |&(_, &t)| t == tag).map(|(i, _)| i)
     }
 
-    /// Appends a copy of `other`, preserving its segmentation — used to
-    /// concatenate per-region sweeps into one per-binary stream.
+    /// The end-branches, direct calls and direct jumps, in stream order
+    /// — exactly `iter().filter(|i| matches!(i.kind, Endbr64 | Endbr32 |
+    /// CallRel { .. } | JmpRel { .. }))`, but found by a scan of the
+    /// one-byte tag array that rebuilds an [`Insn`] only for the few
+    /// percent of instructions it yields. The index build
+    /// (`E`, `C`, `J` of Algorithm 1) runs on it.
+    pub fn marks(&self) -> Marks<'_> {
+        Marks { stream: self, i: 0, seg: 0, tgt: 0 }
+    }
+
+    /// Appends a copy of `other`, preserving its segmentation.
     pub fn append(&mut self, other: &InsnStream) {
         if !self.boundary.is_empty() {
             self.boundary.clear();
@@ -801,11 +834,12 @@ impl InsnStream {
     }
 
     /// Splices the tail of a single-segment `chain` (from instruction
-    /// index `from`) onto `self`. Both streams must share the same single
-    /// segment base — the sharded sweep's stitch invariant.
+    /// index `from`) onto `self`. The chain's segment base must be the
+    /// base of `self`'s last segment — the sharded sweep's stitch
+    /// invariant.
     pub(crate) fn splice_tail(&mut self, chain: &InsnStream, from: usize) {
-        debug_assert!(self.segs.len() == 1 && chain.segs.len() == 1);
-        debug_assert_eq!(self.segs[0].base, chain.segs[0].base);
+        debug_assert_eq!(chain.segs.len(), 1);
+        debug_assert_eq!(self.segs.last().map(|s| s.base), Some(chain.segs[0].base));
         if !self.boundary.is_empty() {
             self.boundary.clear();
         }
@@ -892,6 +926,56 @@ impl Iterator for Insns<'_> {
 }
 
 impl ExactSizeIterator for Insns<'_> {}
+
+/// Iterator over the end-branches and direct calls and jumps of a
+/// stream — see [`InsnStream::marks`].
+///
+/// Walks the tag array with a segment cursor and a cursor into the
+/// dense target table: a conditional branch's target is skipped, not
+/// looked up, so each step is a mask test on one byte.
+#[derive(Debug, Clone)]
+pub struct Marks<'a> {
+    stream: &'a InsnStream,
+    i: usize,
+    seg: usize,
+    tgt: usize,
+}
+
+impl Iterator for Marks<'_> {
+    type Item = Insn;
+
+    fn next(&mut self) -> Option<Insn> {
+        let s = self.stream;
+        while let Some(&tag) = s.tags.get(self.i) {
+            let i = self.i;
+            self.i += 1;
+            let bit = 1u32 << (tag & 31);
+            if bit & (MARK_TAGS | TARGET_TAGS) == 0 {
+                continue;
+            }
+            let mut target = 0;
+            if bit & TARGET_TAGS != 0 {
+                // invariant: every direct-branch tag has a dense target
+                // at exactly the membership bit's rank, which the cursor
+                // tracks.
+                target = s.tgt_val.get(self.tgt).copied().unwrap_or(0);
+                self.tgt += 1;
+            }
+            if bit & MARK_TAGS == 0 {
+                continue;
+            }
+            while self.seg + 1 < s.segs.len() && s.segs[self.seg + 1].first <= i {
+                self.seg += 1;
+            }
+            return Some(Insn {
+                addr: s.segs[self.seg].base.wrapping_add(u64::from(s.offs[i])),
+                len: s.lens[i],
+                kind: kind_from(tag, target),
+            });
+        }
+        None
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1043,6 +1127,22 @@ mod tests {
         assert!(!Flow::Call { target: 1 }.ends_block());
         assert!(!Flow::CallInd { notrack: true }.ends_block());
         assert!(!Flow::Fall.ends_block());
+    }
+
+    #[test]
+    fn tag_masks_match_the_tag_predicates() {
+        for tag in 0..32u8 {
+            let bit = 1u32 << tag;
+            assert_eq!(TARGET_TAGS & bit != 0, has_target(tag), "tag {tag}");
+            let marked = matches!(
+                kind_from(tag, 0),
+                InsnKind::Endbr64
+                    | InsnKind::Endbr32
+                    | InsnKind::CallRel { .. }
+                    | InsnKind::JmpRel { .. }
+            );
+            assert_eq!(MARK_TAGS & bit != 0, marked, "tag {tag}");
+        }
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! same default output, so the two paths diff clean. Addresses are
 //! `unix:<path>` or `tcp:<host>:<port>`; the default is
 //! `unix:$TMPDIR/funseeker.sock`.
+//!
+//! Every print path writes through one locked, buffered stdout writer,
+//! flushed once per binary. A reader that closes the pipe early
+//! (`funseeker big.elf | head`) stops the output quietly.
+
+use std::io::{self, BufWriter, StdoutLock, Write};
+use std::process::ExitCode;
 
 use funseeker::{Config, FunSeeker};
 use funseeker_client::{Addr, Client};
@@ -55,14 +62,35 @@ fn config_for(id: u8) -> Config {
     }
 }
 
-fn main() {
+/// Buffered standard output shared by every print path.
+type Out = BufWriter<StdoutLock<'static>>;
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("shutdown") => cmd_shutdown(&args[1..]),
-        _ => cmd_local(&args),
+    let command = args.first().map(String::as_str);
+    match command {
+        Some("serve") => return cmd_serve(&args[1..]),
+        Some("shutdown") => return cmd_shutdown(&args[1..]),
+        _ => {}
+    }
+    let mut failed = false;
+    let mut out = BufWriter::new(io::stdout().lock());
+    let printed = match command {
+        Some("submit") => cmd_submit(&args[1..], &mut out, &mut failed),
+        Some("stats") => cmd_stats(&args[1..], &mut out, &mut failed),
+        _ => cmd_local(&args, &mut out, &mut failed),
+    };
+    if let Err(e) = printed.and_then(|()| out.flush()) {
+        // A reader that went away (`| head`) is a quiet stop.
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            eprintln!("funseeker: writing output: {e}");
+            failed = true;
+        }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
@@ -70,7 +98,7 @@ fn main() {
 // Local analysis (the original CLI)
 // ---------------------------------------------------------------------
 
-fn cmd_local(args: &[String]) {
+fn cmd_local(args: &[String], out: &mut Out, failed: &mut bool) -> io::Result<()> {
     let mut config = Config::c4();
     let mut summary = false;
     let mut disasm = false;
@@ -98,7 +126,6 @@ fn cmd_local(args: &[String]) {
     }
 
     let seeker = FunSeeker::with_config(config).strict(strict);
-    let mut failed = false;
     for path in &paths {
         // Memory-maps regular files (zero-copy); pipes and special
         // files fall back to a buffered read inside `Image::load`.
@@ -106,7 +133,7 @@ fn cmd_local(args: &[String]) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("{path}: {e}");
-                failed = true;
+                *failed = true;
                 continue;
             }
         };
@@ -116,39 +143,41 @@ fn cmd_local(args: &[String]) {
                     eprintln!("{path}: warning: {warning}");
                 }
                 if summary {
-                    print_summary(path, &analysis);
-                } else if callgraph {
-                    if paths.len() > 1 {
-                        println!("# {path}");
-                    }
-                    print_call_graph(&bytes, &analysis);
-                } else if disasm {
-                    if paths.len() > 1 {
-                        println!("# {path}");
-                    }
-                    print_disassembly(&bytes, &analysis);
+                    print_summary(out, path, &analysis)?;
                 } else {
                     if paths.len() > 1 {
-                        println!("# {path}");
+                        writeln!(out, "# {path}")?;
                     }
-                    for addr in &analysis.functions {
-                        println!("{addr:#x}");
+                    if callgraph {
+                        print_call_graph(out, &bytes, &analysis)?;
+                    } else if disasm {
+                        print_disassembly(out, &bytes, &analysis)?;
+                    } else {
+                        print_functions(out, &analysis)?;
                     }
                 }
+                out.flush()?;
             }
             Err(e) => {
                 eprintln!("{path}: {e}");
-                failed = true;
+                *failed = true;
             }
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(())
 }
 
-fn print_summary(path: &str, analysis: &funseeker::Analysis) {
-    println!(
+/// The default output: one function entry address per line, in hex.
+fn print_functions(out: &mut Out, analysis: &funseeker::Analysis) -> io::Result<()> {
+    for addr in &analysis.functions {
+        writeln!(out, "{addr:#x}")?;
+    }
+    Ok(())
+}
+
+fn print_summary(out: &mut Out, path: &str, analysis: &funseeker::Analysis) -> io::Result<()> {
+    writeln!(
+        out,
         "{path}: {} functions ({} endbr, {} filtered, {} call targets, {} tail targets, {} decode errors){}",
         analysis.functions.len(),
         analysis.endbr_count,
@@ -157,65 +186,73 @@ fn print_summary(path: &str, analysis: &funseeker::Analysis) {
         analysis.tail_target_count,
         analysis.decode_errors,
         if analysis.cet_enabled { "" } else { " [no CET property note]" }
-    );
+    )
 }
 
 /// Prints the call graph over the identified entries: every resolved
 /// direct/tail edge, then the CET-constrained indirect summary.
-fn print_call_graph(bytes: &[u8], analysis: &funseeker::Analysis) {
-    let Ok(prepared) = funseeker::prepare(bytes) else { return };
-    let entries: Vec<u64> = analysis.functions.iter().copied().collect();
-    let graph = funseeker::build_call_graph(&prepared.index, &entries);
-    println!(
+fn print_call_graph(out: &mut Out, bytes: &[u8], analysis: &funseeker::Analysis) -> io::Result<()> {
+    let Ok(prepared) = funseeker::prepare(bytes) else { return Ok(()) };
+    let graph = funseeker::build_call_graph(&prepared.index, &analysis.functions);
+    writeln!(
+        out,
         "{} nodes, {} direct edges, {} tail edges",
         graph.nodes.len(),
         graph.direct_count(),
         graph.tail_count(),
-    );
+    )?;
     for e in &graph.edges {
         let kind = match e.kind {
             funseeker::CallKind::Direct => "call",
             funseeker::CallKind::Tail => "tail",
         };
         match e.caller {
-            Some(caller) => println!("{:#x}: {kind} {:#x} -> {:#x}", caller, e.site, e.callee),
-            None => println!("?: {kind} {:#x} -> {:#x}", e.site, e.callee),
+            Some(caller) => {
+                writeln!(out, "{:#x}: {kind} {:#x} -> {:#x}", caller, e.site, e.callee)?;
+            }
+            None => writeln!(out, "?: {kind} {:#x} -> {:#x}", e.site, e.callee)?,
         }
     }
-    println!(
+    writeln!(
+        out,
         "indirect: {} call sites, {} jump sites, {} notrack; {} endbr targets",
         graph.indirect_call_sites.len(),
         graph.indirect_jump_sites.len(),
         graph.notrack_sites,
         graph.indirect_targets.len(),
-    );
+    )
 }
 
 /// Prints the disassembly of every code region with identified function
 /// entries marked.
-fn print_disassembly(bytes: &[u8], analysis: &funseeker::Analysis) {
-    let Ok(parsed) = funseeker::parse::parse(bytes) else { return };
+fn print_disassembly(
+    out: &mut Out,
+    bytes: &[u8],
+    analysis: &funseeker::Analysis,
+) -> io::Result<()> {
+    let Ok(parsed) = funseeker::parse::parse(bytes) else { return Ok(()) };
     let mode = parsed.mode();
     for region in parsed.code.regions() {
-        println!("\nDisassembly of section {}:", region.name);
+        writeln!(out, "\nDisassembly of section {}:", region.name)?;
         let mut off = 0usize;
         while off < region.bytes.len() {
             let addr = region.addr.wrapping_add(off as u64);
             if analysis.functions.contains(&addr) {
-                println!("\n{addr:#x} <fn>:");
+                writeln!(out, "\n{addr:#x} <fn>:")?;
             }
             match funseeker_disasm::format_insn(&region.bytes[off..], addr, mode) {
                 Ok((text, len)) => {
-                    println!("  {addr:#x}: {text}");
+                    writeln!(out, "  {addr:#x}: {text}")?;
                     off += len;
                 }
                 Err(_) => {
-                    println!("  {addr:#x}: (bad) {:02x}", region.bytes[off]);
+                    writeln!(out, "  {addr:#x}: (bad) {:02x}", region.bytes[off])?;
                     off += 1;
                 }
             }
         }
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -233,7 +270,7 @@ fn parse_num(v: &str) -> usize {
     v.parse().unwrap_or_else(|_| usage())
 }
 
-fn cmd_serve(args: &[String]) {
+fn cmd_serve(args: &[String]) -> ExitCode {
     // `--cores` must fix the pool width before anything touches the
     // global pool — including the config defaults below, which derive
     // `analyze_slots` from it — so scan for it first.
@@ -272,6 +309,7 @@ fn cmd_serve(args: &[String]) {
     // Blocks until a client's `shutdown` request, then drains.
     server.wait();
     eprintln!("funseeker serve: drained, exiting");
+    ExitCode::SUCCESS
 }
 
 fn connect(addr: &str) -> Client {
@@ -281,7 +319,7 @@ fn connect(addr: &str) -> Client {
     })
 }
 
-fn cmd_submit(args: &[String]) {
+fn cmd_submit(args: &[String], out: &mut Out, failed: &mut bool) -> io::Result<()> {
     let mut addr = default_addr();
     let mut config_id = 4u8;
     let mut summary = false;
@@ -303,26 +341,26 @@ fn cmd_submit(args: &[String]) {
     }
 
     let mut client = connect(&addr);
-    let mut failed = false;
     for path in &paths {
         let bytes = match Image::load(path) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("{path}: {e}");
-                failed = true;
+                *failed = true;
                 continue;
             }
         };
         match client.analyze_retry(&bytes, config_id, callgraph, 8) {
             Ok(reply) => {
                 if summary {
-                    print_summary(path, &reply.analysis);
+                    print_summary(out, path, &reply.analysis)?;
                 } else if callgraph {
                     if paths.len() > 1 {
-                        println!("# {path}");
+                        writeln!(out, "# {path}")?;
                     }
                     match reply.analysis.interproc {
-                        Some(ip) => println!(
+                        Some(ip) => writeln!(
+                            out,
                             "{} cfgs, {} blocks, {} cfg edges; {} direct, {} tail; {} indirect sites -> {} targets",
                             ip.cfg_count,
                             ip.block_count,
@@ -331,27 +369,24 @@ fn cmd_submit(args: &[String]) {
                             ip.tail_call_edges,
                             ip.indirect_sites,
                             ip.indirect_targets,
-                        ),
-                        None => println!("(no interprocedural summary)"),
+                        )?,
+                        None => writeln!(out, "(no interprocedural summary)")?,
                     }
                 } else {
                     if paths.len() > 1 {
-                        println!("# {path}");
+                        writeln!(out, "# {path}")?;
                     }
-                    for addr in &reply.analysis.functions {
-                        println!("{addr:#x}");
-                    }
+                    print_functions(out, &reply.analysis)?;
                 }
+                out.flush()?;
             }
             Err(e) => {
                 eprintln!("{path}: {e}");
-                failed = true;
+                *failed = true;
             }
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(())
 }
 
 fn addr_only(args: &[String]) -> String {
@@ -366,25 +401,27 @@ fn addr_only(args: &[String]) -> String {
     addr
 }
 
-fn cmd_stats(args: &[String]) {
+fn cmd_stats(args: &[String], out: &mut Out, failed: &mut bool) -> io::Result<()> {
     let mut client = connect(&addr_only(args));
     match client.stats() {
         Ok(stats) => {
             for (name, value) in stats.iter() {
-                println!("{name} {value}");
+                writeln!(out, "{name} {value}")?;
             }
         }
         Err(e) => {
             eprintln!("funseeker stats: {e}");
-            std::process::exit(1);
+            *failed = true;
         }
     }
+    Ok(())
 }
 
-fn cmd_shutdown(args: &[String]) {
+fn cmd_shutdown(args: &[String]) -> ExitCode {
     let mut client = connect(&addr_only(args));
     if let Err(e) = client.shutdown() {
         eprintln!("funseeker shutdown: {e}");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

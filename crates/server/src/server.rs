@@ -599,18 +599,26 @@ fn dispatch(inner: &Inner, conn: &mut Conn, payload: &[u8], hold: Option<Ballast
 /// reply pays for one encode and caches it. Diagnostics are stripped
 /// if an exotic component makes the full record non-encodable (the
 /// function set and every count survive).
+///
+/// A fresh result (`source` computed or shared, so on no disk yet) is
+/// persisted from the same bytes by whichever reply encodes it — one
+/// encode for both the socket and the disk. A stripped record is not
+/// the full analysis, so it never reaches the disk.
 fn reply_record(
     inner: &Inner,
     image_hash: u64,
     config_fp: u64,
     key: u64,
+    source: Source,
     analysis: &Analysis,
 ) -> Arc<Vec<u8>> {
     if let Some(bytes) = inner.mem.wire(key) {
         Counters::bump(&inner.counters.reply_bytes_hits);
         return bytes;
     }
-    let record = cache::encode(image_hash, config_fp, analysis).unwrap_or_else(|| {
+    let full = cache::encode(image_hash, config_fp, analysis);
+    let persist = full.is_some() && matches!(source, Source::Computed | Source::Shared);
+    let record = full.unwrap_or_else(|| {
         let mut stripped = analysis.clone();
         stripped.diagnostics = Diagnostics::new();
         cache::encode(image_hash, config_fp, &stripped)
@@ -618,7 +626,11 @@ fn reply_record(
     });
     // Racing first replies converge on one allocation; a key evicted
     // from the cache between probe and here just serves unattached.
-    inner.mem.set_wire(key, Arc::new(record))
+    let record = inner.mem.set_wire(key, Arc::new(record));
+    if let (true, Some(disk)) = (persist, &inner.disk) {
+        disk.store_record(key, &record);
+    }
+    record
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -632,7 +644,7 @@ fn send_result(
     source: Source,
     analysis: &Analysis,
 ) -> bool {
-    let record = reply_record(inner, image_hash, config_fp, key, analysis);
+    let record = reply_record(inner, image_hash, config_fp, key, source, analysis);
     let elapsed_us = t0.elapsed().as_micros().min(u128::from(u32::MAX)) as u32;
     Counters::bump(&inner.counters.results_total);
     send(inner, proto::write_result(conn, image_hash, key, elapsed_us, source, &record))
@@ -714,13 +726,15 @@ fn handle_analyze(
                     inflight_bytes: inner.ballast.inflight() as u64,
                 },
                 Some(pass) => {
+                    // No disk layer here: the probe above already missed
+                    // it, and the reply persists the record it encodes.
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         funseeker_batch::analyze_hashed(
                             image,
                             image_hash,
                             std::slice::from_ref(&config),
                             Some(&inner.mem),
-                            inner.disk.as_ref(),
+                            None,
                         )
                     }));
                     drop(pass);
@@ -729,7 +743,6 @@ fn handle_analyze(
                             Counters::add(&inner.counters.parse_ns_total, result.parse_ns);
                             Counters::add(&inner.counters.sweep_ns_total, result.sweep_ns);
                             Counters::add(&inner.counters.analyze_ns_total, result.analyze_ns);
-                            Counters::add(&inner.counters.disk_hits, result.disk_hits as u64);
                             if result.cache_hits == 0 {
                                 Counters::bump(&inner.counters.images_analyzed);
                             }

@@ -190,3 +190,39 @@ fn shutdown_drains_in_flight_work() {
     // After the drain a fresh connect must fail: nothing is listening.
     assert!(Client::connect(&addr).is_err());
 }
+
+#[test]
+fn cold_miss_persists_exactly_the_reply_record() {
+    use funseeker_client::{proto, Response};
+    let dir = std::env::temp_dir().join(format!("funseeker-e2e-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = ServerConfig::tcp("127.0.0.1:0");
+    config.disk_cache = Some(dir.clone());
+    let server = Server::start(config).unwrap();
+    let addr = server.addr().to_string();
+    let image = padded(&own_exe(), 0xd15c);
+
+    // Read the RESULT frame raw, to compare its record bytes.
+    let mut conn = std::net::TcpStream::connect(addr.strip_prefix("tcp:").unwrap()).unwrap();
+    proto::write_analyze(&mut conn, 4, 0, &image).unwrap();
+    let payload =
+        proto::read_frame(&mut conn, proto::DEFAULT_MAX_FRAME).unwrap().expect("a reply frame");
+    let Response::Result(reply) = proto::decode_response(&payload).unwrap() else {
+        panic!("expected a result");
+    };
+    assert!(matches!(reply.source, Source::Computed), "the first submission is a cold miss");
+    let record = &payload[23..]; // after the fixed 23-byte RESULT header
+
+    let entries: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "fsc"))
+        .collect();
+    assert_eq!(entries.len(), 1, "one cache entry per miss: {entries:?}");
+    assert_eq!(std::fs::read(&entries[0]).unwrap(), record, "disk entry = reply record bytes");
+    let stored = funseeker_batch::DiskCache::new(&dir).load(reply.key).expect("entry loads");
+    assert_eq!(stored, FunSeeker::new().identify(&image).unwrap());
+    drop(conn);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
