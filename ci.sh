@@ -18,9 +18,6 @@ FUNSEEKER_CORES=2 cargo test --workspace -q
 echo "==> workspace tests with mmap ingestion disabled (FUNSEEKER_MMAP=0)"
 FUNSEEKER_MMAP=0 cargo test --workspace -q
 
-echo "==> disasm tests with kernels forced to the portable SWAR tier"
-FUNSEEKER_KERNEL_TIER=swar cargo test -q -p funseeker-disasm
-
 echo "==> mutation fuzz harness (1000 cases)"
 FUNSEEKER_MUTATION_CASES=1000 cargo test -q -p funseeker-corpus --test proptest_mutate
 
@@ -85,7 +82,7 @@ echo "==> serve load smoke (quick mode, >30% duplicate-heavy throughput regressi
 cargo run --release -q -p funseeker-eval --bin experiments -- \
   serve --quick --check BENCH_batch.json
 
-echo "==> io path smoke (quick mode, v3-decode regression or v3-slower-than-v2 fails)"
+echo "==> io path smoke (quick mode, v3-decode regression fails)"
 cargo run --release -q -p funseeker-eval --bin experiments -- \
   io --quick --check BENCH_io.json
 

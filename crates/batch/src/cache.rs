@@ -21,10 +21,7 @@
 //! fingerprint, key), length-prefixed sections (meta counters, a raw
 //! little-endian `u64` function array decoded straight off the mapped
 //! file, interproc summary, diagnostics), and a trailing checksum over
-//! everything before it. [`encode`]/[`decode`] are the codec; the v2
-//! line-oriented text codec survives as [`serialize_v2`] /
-//! [`deserialize_v2`] for the migration test and the before/after
-//! decode benchmarks.
+//! everything before it. [`encode`]/[`decode`] are the codec.
 //!
 //! # Disk layer
 //!
@@ -40,7 +37,6 @@
 //! directory migrates itself from v2 to v3 as it is used.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -463,212 +459,6 @@ pub fn decode(key: u64, bytes: &[u8]) -> Option<Analysis> {
 }
 
 // ---------------------------------------------------------------------
-// Legacy v2 text codec
-// ---------------------------------------------------------------------
-
-const MAGIC_V2: &str = "funseeker-batch-cache v2";
-
-fn component_tag(c: Component) -> Option<&'static str> {
-    Some(match c {
-        Component::Layout => "layout",
-        Component::EhFrame => "eh_frame",
-        Component::GccExceptTable => "gcc_except_table",
-        Component::NoteProperty => "note_property",
-        Component::Plt => "plt",
-        Component::Dynamic => "dynamic",
-        _ => return None,
-    })
-}
-
-fn component_from_tag(tag: &str) -> Option<Component> {
-    Some(match tag {
-        "layout" => Component::Layout,
-        "eh_frame" => Component::EhFrame,
-        "gcc_except_table" => Component::GccExceptTable,
-        "note_property" => Component::NoteProperty,
-        "plt" => Component::Plt,
-        "dynamic" => Component::Dynamic,
-        _ => return None,
-    })
-}
-
-fn escape(message: &str) -> String {
-    message.replace('\\', "\\\\").replace('\n', "\\n").replace('\r', "\\r")
-}
-
-fn unescape(escaped: &str) -> String {
-    let mut out = String::with_capacity(escaped.len());
-    let mut chars = escaped.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('\\') => out.push('\\'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// The retired v2 line-oriented text codec (writer half). Kept so the
-/// v2→v3 migration test can plant genuine v2 entries and so the io
-/// trajectory / criterion benches can measure the decode formats
-/// against each other; production paths write [`encode`] records.
-pub fn serialize_v2(key: u64, a: &Analysis) -> Option<String> {
-    let mut s = String::with_capacity(256 + 17 * a.functions.len());
-    s.push_str(MAGIC_V2);
-    s.push('\n');
-    let _ = writeln!(s, "key {key:016x}");
-    let _ = writeln!(s, "range {:x} {:x}", a.text_range.0, a.text_range.1);
-    let _ = writeln!(
-        s,
-        "counts {} {} {} {} {} {} {} {}",
-        a.endbr_count,
-        a.filtered_endbrs,
-        a.call_target_count,
-        a.jmp_target_count,
-        a.tail_target_count,
-        a.decode_errors,
-        a.cet_enabled as u8,
-        a.pruned_count,
-    );
-    let _ = writeln!(s, "functions {}", a.functions.len());
-    for (i, f) in a.functions.iter().enumerate() {
-        let sep = if i % 8 == 7 || i + 1 == a.functions.len() { '\n' } else { ' ' };
-        let _ = write!(s, "{f:x}{sep}");
-    }
-    if let Some(ip) = a.interproc {
-        let _ = writeln!(
-            s,
-            "interproc {} {} {} {} {} {} {}",
-            ip.cfg_count,
-            ip.block_count,
-            ip.cfg_edge_count,
-            ip.direct_call_edges,
-            ip.tail_call_edges,
-            ip.indirect_sites,
-            ip.indirect_targets,
-        );
-    }
-    for d in a.diagnostics.iter() {
-        let tag = component_tag(d.component)?;
-        let _ = writeln!(s, "diag {tag} {} {}", d.count, escape(&d.message));
-    }
-    let sum = hash_bytes(s.as_bytes());
-    let _ = writeln!(s, "end {sum:016x}");
-    Some(s)
-}
-
-/// The retired v2 text codec (reader half); see [`serialize_v2`]. Any
-/// defect returns `None`.
-pub fn deserialize_v2(key: u64, text: &str) -> Option<Analysis> {
-    // A complete entry always ends in a newline; anything shorter is a
-    // truncated write.
-    if !text.ends_with('\n') {
-        return None;
-    }
-    // Checksum next: everything before the final `end <sum>` line must
-    // hash to <sum>.
-    let end_at = text.rfind("end ")?;
-    if end_at > 0 && text.as_bytes()[end_at - 1] != b'\n' {
-        return None;
-    }
-    let body = &text[..end_at];
-    let sum = u64::from_str_radix(text[end_at + 4..].trim(), 16).ok()?;
-    if hash_bytes(body.as_bytes()) != sum {
-        return None;
-    }
-
-    let mut lines = body.lines().peekable();
-    if lines.next()? != MAGIC_V2 {
-        return None;
-    }
-    let stored_key = u64::from_str_radix(lines.next()?.strip_prefix("key ")?, 16).ok()?;
-    if stored_key != key {
-        return None;
-    }
-    let mut range = lines.next()?.strip_prefix("range ")?.split(' ');
-    let lo = u64::from_str_radix(range.next()?, 16).ok()?;
-    let hi = u64::from_str_radix(range.next()?, 16).ok()?;
-    let mut counts = lines.next()?.strip_prefix("counts ")?.split(' ');
-    let mut next_count = || counts.next().and_then(|c| c.parse::<usize>().ok());
-    let endbr_count = next_count()?;
-    let filtered_endbrs = next_count()?;
-    let call_target_count = next_count()?;
-    let jmp_target_count = next_count()?;
-    let tail_target_count = next_count()?;
-    let decode_errors = next_count()?;
-    let cet_enabled = match next_count()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    let pruned_count = next_count()?;
-
-    let n_functions: usize = lines.next()?.strip_prefix("functions ")?.parse().ok()?;
-    let mut functions = std::collections::BTreeSet::new();
-    while functions.len() < n_functions {
-        for tok in lines.next()?.split(' ') {
-            functions.insert(u64::from_str_radix(tok, 16).ok()?);
-        }
-    }
-    if functions.len() != n_functions {
-        return None;
-    }
-    // Legacy path only: the tree build stays (it dedups while counting);
-    // the packed set is built once from the already-sorted members.
-    let functions: funseeker::FuncSet = functions.into_iter().collect();
-
-    let mut interproc = None;
-    if let Some(rest) = lines.peek().and_then(|l| l.strip_prefix("interproc ")) {
-        let mut fields = rest.split(' ');
-        let mut next_field = || fields.next().and_then(|c| c.parse::<usize>().ok());
-        interproc = Some(InterprocSummary {
-            cfg_count: next_field()?,
-            block_count: next_field()?,
-            cfg_edge_count: next_field()?,
-            direct_call_edges: next_field()?,
-            tail_call_edges: next_field()?,
-            indirect_sites: next_field()?,
-            indirect_targets: next_field()?,
-        });
-        lines.next();
-    }
-
-    let mut diagnostics = Diagnostics::new();
-    for line in lines {
-        let rest = line.strip_prefix("diag ")?;
-        let (tag, rest) = rest.split_once(' ')?;
-        let (count, message) = rest.split_once(' ')?;
-        diagnostics.record(
-            component_from_tag(tag)?,
-            unescape(message),
-            count.parse::<usize>().ok()?,
-        );
-    }
-
-    Some(Analysis {
-        functions,
-        text_range: (lo, hi),
-        endbr_count,
-        filtered_endbrs,
-        call_target_count,
-        jmp_target_count,
-        tail_target_count,
-        decode_errors,
-        pruned_count,
-        interproc,
-        cet_enabled,
-        diagnostics,
-    })
-}
-
-// ---------------------------------------------------------------------
 // Disk layer
 // ---------------------------------------------------------------------
 
@@ -798,15 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_v2_text() {
-        let a = sample();
-        let key = cache_key(0xdead_beef, &Config::c4());
-        let text = serialize_v2(key, &a).unwrap();
-        let back = deserialize_v2(key, &text).unwrap();
-        assert_eq!(back, a);
-    }
-
-    #[test]
     fn round_trips_diagnostics() {
         let mut a = sample();
         a.diagnostics.warn(Component::EhFrame, "truncated record with spaces");
@@ -816,9 +597,6 @@ mod tests {
         let back = decode(key, &encode(h, fp, &a).unwrap()).unwrap();
         assert_eq!(back.diagnostics, a.diagnostics);
         assert_eq!(back, a);
-        // And the legacy text codec still agrees with itself.
-        let back2 = deserialize_v2(key, &serialize_v2(key, &a).unwrap()).unwrap();
-        assert_eq!(back2, a);
     }
 
     #[test]
@@ -900,7 +678,12 @@ mod tests {
         let (h, _, key) = keys(0x515e, &Config::c4());
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{key:016x}.fsc"));
-        std::fs::write(&path, serialize_v2(key, &a).unwrap()).unwrap();
+        // A literal record in the retired line-oriented v2 text format.
+        let v2 = format!(
+            "funseeker-batch-cache v2\nkey {key:016x}\nrange 1000 2000\n\
+             counts 1 0 0 0 0 0 1 0\nfunctions 1\n1000\nend 0123456789abcdef\n"
+        );
+        std::fs::write(&path, v2).unwrap();
         assert!(cache.load(key).is_none(), "v2 entry must miss, not error");
         assert!(!path.exists(), "v2 entry must be garbage-collected");
         // The next store writes v3 and the entry serves again.

@@ -1,18 +1,18 @@
-//! Per-kernel isolation: each vectorized sweep kernel against its scalar
-//! reference, per tier, on identical input.
+//! Per-kernel isolation: each sweep kernel of the build's tier against
+//! its scalar reference, on identical input.
 //!
 //! The whole-sweep benchmark (`sweep_shards`) measures the kernels
-//! diluted by the decoder; this group isolates the three scans — ENDBR
-//! needle search, padding-run skipping, bulk first-byte classification —
-//! so the per-tier speedups (and the SSE2/SWAR fallbacks' costs) are
-//! visible on their own. Inputs are a tiled real `.text` (realistic byte
-//! mix: needles rare, no long pad runs) plus a synthetic padded buffer
-//! for the run-skipper's best case.
+//! diluted by the decoder; this group isolates the two scans — ENDBR
+//! needle search and padding-run skipping — so the SSE2 speedup over
+//! `kernels::scalar` is visible on its own (on targets other than x86-64
+//! both rows run the scalar code). Inputs are a tiled real `.text`
+//! (realistic byte mix: needles rare, no long pad runs) plus a synthetic
+//! padded buffer for the run-skipper's best case.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use funseeker_bench::single_binary;
-use funseeker_disasm::kernels::{classify_block, find_endbr, pad_run_end};
-use funseeker_disasm::{KernelTier, Mode};
+use funseeker_disasm::kernels::{find_endbr, pad_run_end, scalar};
+use funseeker_disasm::KernelTier;
 use funseeker_elf::Elf;
 
 /// Tiles one binary's `.text` until the buffer crosses `target` bytes.
@@ -27,22 +27,20 @@ fn tiled_text(target: usize) -> Vec<u8> {
     code
 }
 
-fn supported() -> Vec<KernelTier> {
-    KernelTier::ALL.into_iter().filter(|t| t.is_supported()).collect()
-}
-
 fn bench(c: &mut Criterion) {
     let code = tiled_text(1 << 20);
+    let native = format!("{:?}", KernelTier::active());
 
     // ENDBR needle scan over realistic bytes (candidates are sparse, so
     // this is dominated by the wide 0xF3 compare).
     let mut g = c.benchmark_group("kernel_endbr_scan");
     g.throughput(Throughput::Bytes(code.len() as u64));
-    for tier in supported() {
-        g.bench_with_input(BenchmarkId::from_parameter(format!("{tier:?}")), &tier, |b, &t| {
-            b.iter(|| std::hint::black_box(find_endbr(&code, t).len()))
-        });
-    }
+    g.bench_function(BenchmarkId::from_parameter(&native), |b| {
+        b.iter(|| std::hint::black_box(find_endbr(&code).len()))
+    });
+    g.bench_function(BenchmarkId::from_parameter("Scalar reference"), |b| {
+        b.iter(|| std::hint::black_box(scalar::find_endbr(&code).len()))
+    });
     g.finish();
 
     // Padding-run skip: one maximal NOP run (inter-function padding's
@@ -50,29 +48,12 @@ fn bench(c: &mut Criterion) {
     let pad = vec![0x90u8; 64 << 10];
     let mut g = c.benchmark_group("kernel_pad_skip");
     g.throughput(Throughput::Bytes(pad.len() as u64));
-    for tier in supported() {
-        g.bench_with_input(BenchmarkId::from_parameter(format!("{tier:?}")), &tier, |b, &t| {
-            b.iter(|| std::hint::black_box(pad_run_end(&pad, 0, pad.len(), 0x90, t)))
-        });
-    }
-    g.finish();
-
-    // Bulk first-byte classification, block-at-a-time over the whole
-    // region — exactly how the sweep hot loop consumes it.
-    let mut g = c.benchmark_group("kernel_classify");
-    g.throughput(Throughput::Bytes(code.len() as u64));
-    for tier in supported() {
-        g.bench_with_input(BenchmarkId::from_parameter(format!("{tier:?}")), &tier, |b, &t| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for block in code.chunks(64) {
-                    let cls = classify_block(block, Mode::Bits64, t);
-                    acc ^= cls.pad ^ cls.one;
-                }
-                std::hint::black_box(acc)
-            })
-        });
-    }
+    g.bench_function(BenchmarkId::from_parameter(&native), |b| {
+        b.iter(|| std::hint::black_box(pad_run_end(&pad, 0, pad.len(), 0x90)))
+    });
+    g.bench_function(BenchmarkId::from_parameter("Scalar reference"), |b| {
+        b.iter(|| std::hint::black_box(scalar::pad_run_end(&pad, 0, pad.len(), 0x90)))
+    });
     g.finish();
 }
 

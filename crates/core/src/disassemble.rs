@@ -11,9 +11,7 @@
 
 use std::collections::BTreeSet;
 
-use funseeker_disasm::{
-    kernels, par_sweep_into, InsnKind, InsnStream, Insns, KernelTier, SweepStats,
-};
+use funseeker_disasm::{kernels, par_sweep_into, InsnKind, InsnStream, Insns, SweepStats};
 
 use crate::funcset::FuncSet;
 use crate::parse::Parsed;
@@ -99,7 +97,6 @@ pub fn scan_endbr_pattern(p: &Parsed<'_>) -> Vec<u64> {
         [0xf3, 0x0f, 0x1e, 0xfb] // endbr32
     };
     let mut out = Vec::new();
-    let tier = KernelTier::active();
     for region in p.code.regions() {
         // Vectorized needle scan: the kernel hunts 0xF3 lead bytes a
         // vector register at a time and verifies the 3-byte tail only at
@@ -108,7 +105,7 @@ pub fn scan_endbr_pattern(p: &Parsed<'_>) -> Vec<u64> {
         // reports both widths; keep the one matching the image's mode.
         let bytes = region.bytes;
         out.extend(
-            kernels::find_endbr(bytes, tier)
+            kernels::find_endbr(bytes)
                 .into_iter()
                 .filter(|&off| bytes[off as usize + 3] == marker[3])
                 .map(|off| region.addr.wrapping_add(u64::from(off))),

@@ -10,8 +10,8 @@ use crate::error::DecodeError;
 use crate::insn::{Insn, InsnKind};
 use crate::mode::Mode;
 use crate::stream::{
-    kind_from, TAG_CALL_IND, TAG_CALL_REL, TAG_ENDBR32, TAG_ENDBR64, TAG_HLT, TAG_INT3, TAG_JCC,
-    TAG_JMP_IND, TAG_JMP_REL, TAG_LEAVE, TAG_NOP, TAG_OTHER, TAG_PUSH, TAG_RET,
+    TAG_CALL_IND, TAG_CALL_REL, TAG_ENDBR32, TAG_ENDBR64, TAG_HLT, TAG_INT3, TAG_JCC, TAG_JMP_IND,
+    TAG_JMP_REL, TAG_LEAVE, TAG_NOP, TAG_OTHER, TAG_PUSH, TAG_RET,
 };
 use crate::tables::{
     BAD, ENTER, FAR, GRP3, I16, I8, INV64, IV, IZ, M, MOFFS, ONE_BYTE, PFX, TWO_BYTE,
@@ -125,34 +125,6 @@ fn modrm(cur: &mut Cursor<'_>, addr16: bool) -> Result<u8, DecodeError> {
         }
     }
     Ok(byte)
-}
-
-/// Decodes the instruction at the start of `code`, which sits at virtual
-/// address `addr`.
-///
-/// `code` should extend to the end of the section (or at least 15 bytes
-/// past the instruction) so length decoding is never artificially cut
-/// short.
-///
-/// ```
-/// use funseeker_disasm::{decode, InsnKind, Mode};
-/// let insn = decode(&[0xf3, 0x0f, 0x1e, 0xfa], 0x1000, Mode::Bits64).unwrap();
-/// assert_eq!(insn.len, 4);
-/// assert_eq!(insn.kind, InsnKind::Endbr64);
-/// ```
-pub fn decode(code: &[u8], addr: u64, mode: Mode) -> Result<Insn, DecodeError> {
-    if let Some(insn) = decode_fast(code, addr, mode) {
-        return Ok(insn);
-    }
-    decode_full(code, addr, mode)
-}
-
-/// [`decode_fast_packed`] reassembled into an [`Insn`] — the form
-/// [`decode`] and the differential tests consume.
-#[inline]
-pub(crate) fn decode_fast(code: &[u8], addr: u64, mode: Mode) -> Option<Insn> {
-    let (len, tag, target) = decode_fast_packed(code, addr, mode)?;
-    Some(Insn { addr, len, kind: kind_from(tag, target) })
 }
 
 /// First-byte dispatch classes for the fast path. Every class is a
@@ -376,209 +348,6 @@ const FAST: [FastClass; 256] = {
     t
 };
 
-/// Bytes that, seen at a dispatch position (never behind a prefix —
-/// prefixes are dispatch positions of their own), decode as complete
-/// one-byte instructions: the block classifier's "one" lane. Derived
-/// from [`FAST`] so the sets can never drift from the dispatch table.
-/// The pad bytes `90`/`CC` are excluded — the run-skipper owns them.
-const fn one_byte_mask(is64: bool) -> [u64; 4] {
-    let mut m = [0u64; 4];
-    let mut b = 0usize;
-    while b < 256 {
-        let one = match FAST[b] {
-            FastClass::One
-            | FastClass::Ret
-            | FastClass::Leave
-            | FastClass::Hlt
-            | FastClass::Push => true,
-            // 40-4F are one-byte inc/dec in 32-bit mode, REX in 64-bit.
-            FastClass::RexOrInc => !is64,
-            _ => false,
-        };
-        if one {
-            m[b >> 6] |= 1u64 << (b & 63);
-        }
-        b += 1;
-    }
-    m
-}
-
-/// One-byte-complete set in 64-bit mode (see [`one_byte_mask`]).
-pub(crate) const ONE_MASK_64: [u64; 4] = one_byte_mask(true);
-/// One-byte-complete set in 32-bit mode.
-pub(crate) const ONE_MASK_32: [u64; 4] = one_byte_mask(false);
-
-/// Kind tag for each byte in the one-byte-complete sets (meaningful
-/// only where the mask bit is set; `TAG_OTHER` elsewhere). The
-/// classifier consumers read tags through [`decode_fast_win`]'s tables;
-/// this byte-indexed view backs the one-byte-set consistency test.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) const ONE_TAG: [u8; 256] = {
-    let mut t = [TAG_OTHER; 256];
-    let mut b = 0usize;
-    while b < 256 {
-        t[b] = match FAST[b] {
-            FastClass::Ret => TAG_RET,
-            FastClass::Leave => TAG_LEAVE,
-            FastClass::Hlt => TAG_HLT,
-            FastClass::Push => TAG_PUSH + (b as u8 - 0x50),
-            _ => TAG_OTHER,
-        };
-        b += 1;
-    }
-    t
-};
-
-/// Length of ModRM + SIB + displacement under 32/64-bit addressing (the
-/// fast path never sees a `67` prefix), or `None` when `code` is too
-/// short — the full decoder then produces the canonical `Truncated`.
-#[inline]
-fn fast_modrm_len(code: &[u8]) -> Option<usize> {
-    let m = *code.first()?;
-    let mode_bits = m >> 6;
-    let rm = m & 7;
-    if mode_bits == 3 {
-        return Some(1);
-    }
-    let mut n = 1usize;
-    let mut disp32_when_mod0 = rm == 5;
-    if rm == 4 {
-        let sib = *code.get(1)?;
-        n += 1;
-        disp32_when_mod0 = sib & 7 == 5;
-    }
-    n += match mode_bits {
-        0 => {
-            if disp32_when_mod0 {
-                4
-            } else {
-                0
-            }
-        }
-        1 => 1,
-        _ => 4,
-    };
-    if code.len() < n {
-        return None;
-    }
-    Some(n)
-}
-
-/// First-byte dispatch fast path, in packed-stream form: `(length, kind
-/// tag, branch target)` — what the sweep hot loop feeds straight into
-/// [`crate::InsnStream`] without round-tripping through an [`Insn`].
-/// The target is meaningful only for the direct-branch tags (0
-/// otherwise).
-///
-/// Returns `None` for anything the table does not cover *and* for
-/// truncated input (an encoding whose tail runs off the buffer), so
-/// the full decoder is the single source of error values — the composed
-/// [`decode`] stays behaviorally identical to the table-driven decoder
-/// alone.
-#[inline]
-pub(crate) fn decode_fast_packed(code: &[u8], addr: u64, mode: Mode) -> Option<(u8, u8, u64)> {
-    let &b0 = code.first()?;
-    match FAST[b0 as usize] {
-        FastClass::RexOrInc => {
-            if !mode.is_64() {
-                // inc/dec reg — a plain one-byte instruction.
-                return Some((1, TAG_OTHER, 0));
-            }
-            // A single REX prefix. REX followed by a legacy prefix is
-            // voided by the full decoder's loop, and a second REX
-            // re-enters it, so both defer; the fast path only ever
-            // applies an *effective* REX.
-            let &b1 = code.get(1)?;
-            let c1 = FAST[b1 as usize];
-            if matches!(c1, FastClass::RexOrInc | FastClass::Pfx) {
-                return None;
-            }
-            fast_body(c1, code.get(2..)?, addr, mode, b1, b0)
-        }
-        FastClass::Pfx => {
-            // One mandatory-prefix-style legacy prefix, an optional REX,
-            // and the 0F map: covers ENDBR (`F3 0F 1E`), the 66-prefixed
-            // long NOPs, and scalar SSE (`F2`/`F3 0F xx`). Anything else
-            // with a prefix defers.
-            let mut i = 1;
-            let mut b = *code.get(i)?;
-            if mode.is_64() && matches!(FAST[b as usize], FastClass::RexOrInc) {
-                i += 1;
-                b = *code.get(i)?;
-                if matches!(FAST[b as usize], FastClass::RexOrInc) {
-                    return None;
-                }
-            }
-            if b != 0x0F {
-                return None;
-            }
-            let &op2 = code.get(i + 1)?;
-            fast_map0f(code.get(i + 2..)?, addr, mode, i + 2, op2, b0 == 0xF3, b0 == 0x66)
-        }
-        c => fast_body(c, code.get(1..)?, addr, mode, b0, 0),
-    }
-}
-
-/// ModRM + SIB + displacement length, table form: total addressing
-/// bytes for a ModRM value, or `NEEDS_SIB` when an SIB byte must be
-/// consulted. Collapses [`fast_modrm_len`]'s branch tree into one load
-/// for the ~90 % of ModRM bytes without an SIB.
-const NEEDS_SIB: u8 = 0xFF;
-
-/// See [`NEEDS_SIB`].
-const MODRM_LEN: [u8; 256] = {
-    let mut t = [0u8; 256];
-    let mut m = 0usize;
-    while m < 256 {
-        let mode_bits = (m >> 6) as u8;
-        let rm = (m & 7) as u8;
-        t[m] = if mode_bits == 3 {
-            1
-        } else if rm == 4 {
-            NEEDS_SIB
-        } else {
-            1 + match mode_bits {
-                0 => {
-                    if rm == 5 {
-                        4
-                    } else {
-                        0
-                    }
-                }
-                1 => 1,
-                _ => 4,
-            }
-        };
-        m += 1;
-    }
-    t
-};
-
-/// [`fast_modrm_len`] on a byte window: `rest`'s low byte is the ModRM
-/// byte, the next byte the (potential) SIB. Never fails — the windowed
-/// fast path only runs where 16 buffer bytes are available, so no
-/// encoding it accepts can be cut short.
-#[inline]
-fn win_modrm_len(rest: u64) -> usize {
-    let v = MODRM_LEN[(rest & 0xFF) as usize];
-    if v != NEEDS_SIB {
-        return v as usize;
-    }
-    let m = rest as u8;
-    let sib = (rest >> 8) as u8;
-    2 + match m >> 6 {
-        0 => {
-            if sib & 7 == 5 {
-                4
-            } else {
-                0
-            }
-        }
-        1 => 1,
-        _ => 4,
-    }
-}
-
 // Flag bits of the [`win_info`] dispatch byte.
 /// The encoding carries a ModRM byte (plus SIB/displacement).
 const WI_MODRM: u8 = 1 << 0;
@@ -687,10 +456,12 @@ const WIN_TAG: [u8; 512] = {
     t
 };
 
-/// [`win_modrm_len`] computed without the SIB branch or the table load:
-/// pure ALU on the (ModRM, SIB) byte pair, identical for every pair
-/// (`decode::tests` checks all 65 536). The table variant's dependent
-/// load sits on the sweep's serial `off += len` chain; this doesn't.
+/// Length of ModRM + SIB + displacement under 32/64-bit addressing (the
+/// fast path never sees a `67` prefix): `rest`'s low byte is the ModRM
+/// byte, the next byte the (potential) SIB. Pure ALU on the byte pair —
+/// no SIB branch, no table load on the sweep's serial `off += len` chain
+/// — and equal to [`decode`]'s `modrm` cursor advance for all 65 536
+/// pairs (`decode::tests` checks every one).
 #[inline]
 fn win_modrm_len_bl(rest: u64) -> usize {
     let m = rest as u8 as usize;
@@ -707,18 +478,58 @@ fn win_modrm_len_bl(rest: u64) -> usize {
     1 + sib + disp
 }
 
-/// The first-byte dispatch fast path, flattened onto an 8-byte window.
+/// The decoder window at `code[off..]`: its first 8 bytes little-endian
+/// (byte `k` is `win >> (8 * k)`), zero-padded past the end of `code`.
+#[inline]
+pub(crate) fn window(code: &[u8], off: usize) -> u64 {
+    let tail = &code[off..];
+    match tail.first_chunk::<8>() {
+        Some(w) => u64::from_le_bytes(*w),
+        None => padded_window(tail),
+    }
+}
+
+/// [`window`] in a region's last 7 bytes — out of line, so the copy
+/// stays off the sweep's hot loop.
+#[cold]
+#[inline(never)]
+fn padded_window(tail: &[u8]) -> u64 {
+    let mut pad = [0u8; 8];
+    pad[..tail.len()].copy_from_slice(tail);
+    u64::from_le_bytes(pad)
+}
+
+/// The sweep's fast step at `code[off..]`: [`decode_fast_win`] on its
+/// [`window`] `win`, accepted only when the instruction fits in `code`.
+/// Every byte that decides an instruction's length, kind or target lies
+/// inside that instruction, so the zero padding past the end of `code`
+/// can only ever show up in a result that this check rejects.
+#[inline]
+pub(crate) fn fast_step(
+    code: &[u8],
+    off: usize,
+    win: u64,
+    addr: u64,
+    mode: Mode,
+) -> Option<(u8, u8, u64)> {
+    decode_fast_win(win, addr, mode).filter(|&(len, ..)| off + usize::from(len) <= code.len())
+}
+
+/// The first-byte dispatch fast path, in packed-stream form: `(length,
+/// kind tag, branch target)` — what the sweep hot loop feeds straight
+/// into [`crate::InsnStream`] without round-tripping through an
+/// [`Insn`]. The target is meaningful only for the direct-branch tags (0
+/// otherwise).
 ///
-/// `win` holds the first 8 instruction bytes little-endian (byte `k` of
-/// the instruction is `win >> (8 * k)`). Agrees exactly with
-/// [`decode_fast_packed`] whenever **16 bytes** remain in the buffer:
-/// every length the table accepts is computed arithmetically (≤ 12),
-/// every *content* read (branch displacements) sits within the first 8
-/// bytes, and 16 available bytes rule out the truncation deferrals —
-/// leaving both functions to decline exactly the same encodings. The
-/// sweep hot loop runs this form (one unaligned load replaces all
-/// per-byte bounds checks) and falls back to the slice form near the
-/// buffer tail; `kernel_differential.rs` pins the equivalence.
+/// `win` holds the first 8 instruction bytes (see [`window`]). A `Some`
+/// is exactly [`decode`]'s result whenever the instruction's bytes are
+/// all real: every length the table accepts is computed arithmetically
+/// (≤ 12), and every byte it reads — ModRM, SIB, branch displacement —
+/// sits inside the instruction and within the first 8 bytes. `None`
+/// (an encoding the table does not cover) defers to [`decode`], the
+/// single source of error values. `decode::tests` checks the agreement
+/// exhaustively over two-byte heads and deep prefix chains, and at every
+/// truncation length through [`fast_step`].
 ///
 /// Dispatch is two-level: the [`win_info`] recipe byte resolves the
 /// regular classes with branchless arithmetic (one REX fold, one table
@@ -761,6 +572,13 @@ pub(crate) fn decode_fast_win(win: u64, addr: u64, mode: Mode) -> Option<(u8, u8
 /// Match-based windowed dispatch: the irregular-class complement of the
 /// branchless path in [`decode_fast_win`] (and a complete dispatcher in
 /// its own right — the split is a pure optimization).
+///
+/// A `40..4F` byte is `inc`/`dec r` in 32-bit mode and a single REX
+/// prefix in 64-bit mode. REX followed by a legacy prefix is voided by
+/// [`decode`]'s prefix loop and a second REX re-enters it, so both defer;
+/// the fast path only ever applies an *effective* REX. Of the legacy
+/// prefixes only `66`/`F2`/`F3` are followed, through an optional REX,
+/// into the `0F` map (ENDBR, the 66-prefixed long NOPs, scalar SSE).
 fn win_special(win: u64, addr: u64, mode: Mode) -> Option<(u8, u8, u64)> {
     let b0 = win as u8;
     match FAST[b0 as usize] {
@@ -795,7 +613,9 @@ fn win_special(win: u64, addr: u64, mode: Mode) -> Option<(u8, u8, u64)> {
     }
 }
 
-/// [`fast_body`] on a window: `rest` holds the bytes after the opcode.
+/// Decodes opcode byte `op` (pre-classified as `class`) with `rest`
+/// holding the bytes after it. `rex` is the REX prefix byte (0 when
+/// absent — a present REX is the only prefix byte the body ever sees).
 #[inline]
 fn win_body(
     class: FastClass,
@@ -809,6 +629,7 @@ fn win_body(
     let fin = |len: usize, tag: u8| Some((len as u8, tag, 0u64));
     match class {
         FastClass::No | FastClass::RexOrInc | FastClass::Pfx => None,
+        // REX.B turns 0x90 into `xchg r8, eAX` — no longer a NOP.
         FastClass::Nop => fin(base, if rex & 1 != 0 { TAG_OTHER } else { TAG_NOP }),
         FastClass::One => fin(base, TAG_OTHER),
         FastClass::Ret => fin(base, TAG_RET),
@@ -834,15 +655,16 @@ fn win_body(
         FastClass::Imm8 => fin(base + 1, TAG_OTHER),
         FastClass::ImmZ => fin(base + 4, TAG_OTHER),
         FastClass::MovImmV => fin(base + if rex & 8 != 0 { 8 } else { 4 }, TAG_OTHER),
-        FastClass::Rm => fin(base + win_modrm_len(rest), TAG_OTHER),
-        FastClass::RmImm8 => fin(base + win_modrm_len(rest) + 1, TAG_OTHER),
-        FastClass::RmImmZ => fin(base + win_modrm_len(rest) + 4, TAG_OTHER),
+        FastClass::Rm => fin(base + win_modrm_len_bl(rest), TAG_OTHER),
+        FastClass::RmImm8 => fin(base + win_modrm_len_bl(rest) + 1, TAG_OTHER),
+        FastClass::RmImmZ => fin(base + win_modrm_len_bl(rest) + 4, TAG_OTHER),
         FastClass::Esc0F => {
             let op2 = rest as u8;
             win_map0f(rest >> 8, addr, mode, base + 1, op2, false, false)
         }
         FastClass::Grp3b | FastClass::Grp3z => {
-            let m = win_modrm_len(rest);
+            let m = win_modrm_len_bl(rest);
+            // TEST r/m, imm — F6 takes imm8, F7 immz (4 without 66).
             let imm = if (rest as u8 >> 3) & 7 < 2 {
                 if op == 0xF6 {
                     1
@@ -855,10 +677,11 @@ fn win_body(
             fin(base + m + imm, TAG_OTHER)
         }
         FastClass::Grp5 => {
-            let m = win_modrm_len(rest);
+            let m = win_modrm_len_bl(rest);
             let tag = match (rest as u8 >> 3) & 7 {
                 2 | 3 => TAG_CALL_IND,
                 4 | 5 => TAG_JMP_IND,
+                // FF /7 is undefined — let the full decoder produce the error.
                 7 => return None,
                 _ => TAG_OTHER,
             };
@@ -867,56 +690,12 @@ fn win_body(
     }
 }
 
-/// [`fast_map0f`] on a window: `rest` holds the bytes after the second
-/// opcode byte `op2`, `base` counts bytes up to and including it.
-#[inline]
-fn win_map0f(
-    rest: u64,
-    addr: u64,
-    mode: Mode,
-    base: usize,
-    op2: u8,
-    rep: bool,
-    opsize: bool,
-) -> Option<(u8, u8, u64)> {
-    if (0x80..=0x8F).contains(&op2) {
-        if opsize {
-            return None;
-        }
-        let disp = rest as u32 as i32 as i64;
-        let len = base + 4;
-        let target = mode.mask_addr(addr.wrapping_add(len as u64).wrapping_add(disp as u64));
-        return Some((len as u8, TAG_JCC, target));
-    }
-    if op2 == 0x1E || op2 == 0x1F {
-        let m = rest as u8;
-        let len = base + win_modrm_len(rest);
-        let tag = match (op2, rep, m) {
-            (0x1E, true, 0xFA) => TAG_ENDBR64,
-            (0x1E, true, 0xFB) => TAG_ENDBR32,
-            _ => TAG_NOP,
-        };
-        return Some((len as u8, tag, 0));
-    }
-    if (0x20..=0x26).contains(&op2) {
-        return None;
-    }
-    let a = TWO_BYTE[op2 as usize];
-    if a == M {
-        Some(((base + win_modrm_len(rest)) as u8, TAG_OTHER, 0))
-    } else if a == M | I8 {
-        Some(((base + win_modrm_len(rest) + 1) as u8, TAG_OTHER, 0))
-    } else {
-        None
-    }
-}
-
-/// Fast decode in the two-byte (`0F`) map. `rest` holds everything after
+/// Fast decode in the two-byte (`0F`) map. `rest` holds the bytes after
 /// the second opcode byte `op2`; `base` counts the bytes up to and
 /// including it. `rep`/`opsize` reflect an `F3`/`66` prefix.
 #[inline]
-fn fast_map0f(
-    rest: &[u8],
+fn win_map0f(
+    rest: u64,
     addr: u64,
     mode: Mode,
     base: usize,
@@ -930,8 +709,7 @@ fn fast_map0f(
         if opsize {
             return None;
         }
-        let d = rest.get(..4)?;
-        let disp = i64::from(i32::from_le_bytes([d[0], d[1], d[2], d[3]]));
+        let disp = rest as u32 as i32 as i64;
         let len = base + 4;
         let target = mode.mask_addr(addr.wrapping_add(len as u64).wrapping_add(disp as u64));
         return Some((len as u8, TAG_JCC, target));
@@ -939,8 +717,8 @@ fn fast_map0f(
     if op2 == 0x1E || op2 == 0x1F {
         // The hint-NOP space: multi-byte alignment NOPs, and ENDBR when
         // 0F 1E carries an F3 prefix and a register-form ModRM.
-        let m = *rest.first()?;
-        let len = base + fast_modrm_len(rest)?;
+        let m = rest as u8;
+        let len = base + win_modrm_len_bl(rest);
         let tag = match (op2, rep, m) {
             (0x1E, true, 0xFA) => TAG_ENDBR64,
             (0x1E, true, 0xFB) => TAG_ENDBR32,
@@ -950,139 +728,37 @@ fn fast_map0f(
     }
     if (0x20..=0x26).contains(&op2) {
         // mov cr/dr: register-only ModRM with the mod bits ignored —
-        // leave the irregular length to the full path.
+        // leave the irregular length to the full decoder.
         return None;
     }
     let a = TWO_BYTE[op2 as usize];
     if a == M {
-        Some(((base + fast_modrm_len(rest)?) as u8, TAG_OTHER, 0))
+        Some(((base + win_modrm_len_bl(rest)) as u8, TAG_OTHER, 0))
     } else if a == M | I8 {
-        let m = fast_modrm_len(rest)?;
-        if rest.len() < m + 1 {
-            return None;
-        }
-        Some(((base + m + 1) as u8, TAG_OTHER, 0))
+        Some(((base + win_modrm_len_bl(rest) + 1) as u8, TAG_OTHER, 0))
     } else {
         None
     }
 }
 
-/// Decodes opcode byte `op` (pre-classified as `class`) with `rest`
-/// holding everything after it. `rex` is the REX prefix byte (0 when
-/// absent — a present REX is the only prefix byte the body ever sees).
-#[inline]
-fn fast_body(
-    class: FastClass,
-    rest: &[u8],
-    addr: u64,
-    mode: Mode,
-    op: u8,
-    rex: u8,
-) -> Option<(u8, u8, u64)> {
-    let base = 1 + usize::from(rex != 0);
-    let fin = |len: usize, tag: u8| Some((len as u8, tag, 0u64));
-    match class {
-        FastClass::No | FastClass::RexOrInc | FastClass::Pfx => None,
-        // REX.B turns 0x90 into `xchg r8, eAX` — no longer a NOP.
-        FastClass::Nop => fin(base, if rex & 1 != 0 { TAG_OTHER } else { TAG_NOP }),
-        FastClass::One => fin(base, TAG_OTHER),
-        FastClass::Ret => fin(base, TAG_RET),
-        FastClass::RetImm16 => {
-            if rest.len() < 2 {
-                return None;
-            }
-            fin(base + 2, TAG_RET)
-        }
-        FastClass::Leave => fin(base, TAG_LEAVE),
-        FastClass::Int3 => fin(base, TAG_INT3),
-        FastClass::Hlt => fin(base, TAG_HLT),
-        FastClass::Push => fin(base, TAG_PUSH + (op - 0x50) + ((rex & 1) << 3)),
-        FastClass::Jcc8 | FastClass::JmpRel8 => {
-            let disp = *rest.first()? as i8 as i64;
-            let len = base + 1;
-            let target = mode.mask_addr(addr.wrapping_add(len as u64).wrapping_add(disp as u64));
-            let tag = if op == 0xEB { TAG_JMP_REL } else { TAG_JCC };
-            Some((len as u8, tag, target))
-        }
-        FastClass::CallRel32 | FastClass::JmpRel32 => {
-            let d = rest.get(..4)?;
-            let disp = i64::from(i32::from_le_bytes([d[0], d[1], d[2], d[3]]));
-            let len = base + 4;
-            let target = mode.mask_addr(addr.wrapping_add(len as u64).wrapping_add(disp as u64));
-            let tag = if op == 0xE8 { TAG_CALL_REL } else { TAG_JMP_REL };
-            Some((len as u8, tag, target))
-        }
-        FastClass::Imm8 => {
-            if rest.is_empty() {
-                return None;
-            }
-            fin(base + 1, TAG_OTHER)
-        }
-        FastClass::ImmZ => {
-            if rest.len() < 4 {
-                return None;
-            }
-            fin(base + 4, TAG_OTHER)
-        }
-        FastClass::MovImmV => {
-            let n = if rex & 8 != 0 { 8 } else { 4 };
-            if rest.len() < n {
-                return None;
-            }
-            fin(base + n, TAG_OTHER)
-        }
-        FastClass::Rm => fin(base + fast_modrm_len(rest)?, TAG_OTHER),
-        FastClass::RmImm8 => {
-            let m = fast_modrm_len(rest)?;
-            if rest.len() < m + 1 {
-                return None;
-            }
-            fin(base + m + 1, TAG_OTHER)
-        }
-        FastClass::RmImmZ => {
-            let m = fast_modrm_len(rest)?;
-            if rest.len() < m + 4 {
-                return None;
-            }
-            fin(base + m + 4, TAG_OTHER)
-        }
-        FastClass::Esc0F => {
-            let &op2 = rest.first()?;
-            fast_map0f(&rest[1..], addr, mode, base + 1, op2, false, false)
-        }
-        FastClass::Grp3b | FastClass::Grp3z => {
-            let m = fast_modrm_len(rest)?;
-            // TEST r/m, imm — F6 takes imm8, F7 immz (4 without 66).
-            let imm = if (*rest.first()? >> 3) & 7 < 2 {
-                if op == 0xF6 {
-                    1
-                } else {
-                    4
-                }
-            } else {
-                0
-            };
-            if rest.len() < m + imm {
-                return None;
-            }
-            fin(base + m + imm, TAG_OTHER)
-        }
-        FastClass::Grp5 => {
-            let m = fast_modrm_len(rest)?;
-            let tag = match (*rest.first()? >> 3) & 7 {
-                2 | 3 => TAG_CALL_IND,
-                4 | 5 => TAG_JMP_IND,
-                // FF /7 is undefined — let the full path produce the error.
-                7 => return None,
-                _ => TAG_OTHER,
-            };
-            fin(base + m, tag)
-        }
-    }
-}
-
-/// The full table-driven decoder — every encoding the fast path declines.
-pub(crate) fn decode_full(code: &[u8], addr: u64, mode: Mode) -> Result<Insn, DecodeError> {
+/// Decodes the instruction at the start of `code`, which sits at virtual
+/// address `addr`.
+///
+/// `code` should extend to the end of the section (or at least 15 bytes
+/// past the instruction) so length decoding is never artificially cut
+/// short.
+///
+/// This is the table-driven decoder the sweep's windowed fast path
+/// (`decode_fast_win`) is specified against: the fast path only ever
+/// accepts an encoding whose result equals this function's.
+///
+/// ```
+/// use funseeker_disasm::{decode, InsnKind, Mode};
+/// let insn = decode(&[0xf3, 0x0f, 0x1e, 0xfa], 0x1000, Mode::Bits64).unwrap();
+/// assert_eq!(insn.len, 4);
+/// assert_eq!(insn.kind, InsnKind::Endbr64);
+/// ```
+pub fn decode(code: &[u8], addr: u64, mode: Mode) -> Result<Insn, DecodeError> {
     let mut cur = Cursor { code, pos: 0 };
     let mut pfx = Prefixes::default();
     let is64 = mode.is_64();
@@ -1324,6 +1000,7 @@ enum OpMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::kind_from;
 
     fn len64(bytes: &[u8]) -> usize {
         decode(bytes, 0x1000, Mode::Bits64).unwrap().len as usize
@@ -1582,11 +1259,30 @@ mod tests {
         assert_eq!(decode(&[0xff, 0xf8], 0, Mode::Bits64), Err(DecodeError::BadOpcode));
     }
 
+    /// The sweep's fast step on `code` exactly as the sweep takes it —
+    /// zero-padded window, `code.len()` bytes available — as an [`Insn`].
+    fn fast(code: &[u8], addr: u64, mode: Mode) -> Option<Insn> {
+        let win = super::window(code, 0);
+        let (len, tag, target) = super::fast_step(code, 0, win, addr, mode)?;
+        Some(Insn { addr, len, kind: kind_from(tag, target) })
+    }
+
+    /// Asserts the fast step declines `code` or agrees with [`decode`].
+    fn assert_fast_agrees(code: &[u8], addr: u64, mode: Mode) {
+        if let Some(insn) = fast(code, addr, mode) {
+            assert_eq!(
+                Ok(insn),
+                decode(code, addr, mode),
+                "code {code:x?} addr {addr:#x} {mode:?}"
+            );
+        }
+    }
+
     #[test]
     fn fast_path_agrees_with_full_decoder() {
-        // Differential check: wherever the dispatch table fires, the fast
-        // result must equal the full decoder's, for every first byte, a
-        // spread of displacement tails, truncated buffers, and both modes.
+        // Wherever the dispatch table fires, the fast result must equal
+        // the full decoder's, for every first byte, a spread of
+        // displacement tails, truncated buffers, and both modes.
         let tails: [&[u8]; 6] = [
             &[],
             &[0x00],
@@ -1601,13 +1297,7 @@ mod tests {
                     let mut code = vec![b0];
                     code.extend_from_slice(tail);
                     for addr in [0u64, 0x40_1000, u64::MAX - 2] {
-                        if let Some(fast) = super::decode_fast(&code, addr, mode) {
-                            assert_eq!(
-                                Ok(fast),
-                                super::decode_full(&code, addr, mode),
-                                "byte {b0:#04x} tail {tail:x?} addr {addr:#x} {mode:?}"
-                            );
-                        }
+                        assert_fast_agrees(&code, addr, mode);
                     }
                 }
             }
@@ -1619,14 +1309,12 @@ mod tests {
         // Every (first byte, second byte) pair — covering REX+opcode,
         // opcode+ModRM, and the 0F map exhaustively — with tails that
         // exercise every ModRM addressing form (register, disp8, disp32,
-        // SIB, SIB+disp32) and truncation at various depths.
-        let tails: [&[u8]; 6] = [
-            &[],
-            &[0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09],
-            &[0xC0, 0xff, 0xff, 0xff, 0xff, 0x90, 0x90, 0x90, 0x90, 0x90],
-            &[0x04, 0x25, 1, 2, 3, 4, 5, 6, 7, 8],
-            &[0x85, 1, 2, 3, 4, 9, 9, 9, 9, 9],
-            &[0x05, 1, 2], // disp32 form, truncated
+        // SIB, SIB+disp32), at least 16 bytes in all so no cut applies.
+        let tails: [&[u8]; 4] = [
+            &[0x00; 14],
+            &[0xFF; 14],
+            &[0x05, 0x44, 0x24, 0x08, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x11, 0x22],
+            &[0x84, 0xC0, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08],
         ];
         for mode in [Mode::Bits64, Mode::Bits32] {
             for b0 in 0u8..=255 {
@@ -1634,12 +1322,30 @@ mod tests {
                     for tail in tails {
                         let mut code = vec![b0, b1];
                         code.extend_from_slice(tail);
-                        if let Some(fast) = super::decode_fast(&code, 0x40_1000, mode) {
-                            assert_eq!(
-                                Ok(fast),
-                                super::decode_full(&code, 0x40_1000, mode),
-                                "bytes {b0:#04x} {b1:#04x} tail {tail:x?} {mode:?}"
-                            );
+                        assert_fast_agrees(&code, 0x40_1000, mode);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_fast_step_matches_full_decoder_at_every_cut() {
+        // The sweep's tail: fewer than 16 bytes left, the window
+        // zero-padded. For every exhaustive two-byte head and every cut
+        // length 0–15, the padded step declines or is exactly `decode`.
+        let tails: [&[u8]; 2] = [
+            &[0x05, 0x44, 0x24, 0x08, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x11, 0x22],
+            &[0x84, 0xC0, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08],
+        ];
+        for mode in [Mode::Bits64, Mode::Bits32] {
+            for b0 in 0u8..=255 {
+                for b1 in 0u8..=255 {
+                    for tail in tails {
+                        let mut code = vec![b0, b1];
+                        code.extend_from_slice(tail);
+                        for cut in 0..16 {
+                            assert_fast_agrees(&code[..cut], 0x40_1000, mode);
                         }
                     }
                 }
@@ -1678,13 +1384,7 @@ mod tests {
                         let mut code = head.to_vec();
                         code.push(op2);
                         code.extend_from_slice(tail);
-                        if let Some(fast) = super::decode_fast(&code, 0x40_1000, mode) {
-                            assert_eq!(
-                                Ok(fast),
-                                super::decode_full(&code, 0x40_1000, mode),
-                                "head {head:x?} op2 {op2:#04x} tail {tail:x?} {mode:?}"
-                            );
-                        }
+                        assert_fast_agrees(&code, 0x40_1000, mode);
                     }
                 }
             }
@@ -1695,52 +1395,14 @@ mod tests {
     fn fast_path_declines_truncated_branches() {
         // A rel32 call with only 3 displacement bytes must fall through to
         // the full decoder (which reports Truncated), not mis-decode.
-        assert_eq!(super::decode_fast(&[0xe8, 1, 2, 3], 0, Mode::Bits64), None);
+        assert_eq!(fast(&[0xe8, 1, 2, 3], 0, Mode::Bits64), None);
         assert_eq!(decode(&[0xe8, 1, 2, 3], 0, Mode::Bits64), Err(DecodeError::Truncated));
-        assert_eq!(super::decode_fast(&[0x74], 0, Mode::Bits64), None);
-        assert_eq!(super::decode_fast(&[], 0, Mode::Bits64), None);
-    }
-
-    /// Drives `decode_fast_win` on the first 8 bytes of `code`
-    /// (which must hold at least 16).
-    fn fast_win(code: &[u8], addr: u64, mode: Mode) -> Option<(u8, u8, u64)> {
-        assert!(code.len() >= 16);
-        let win = u64::from_le_bytes(code[..8].try_into().unwrap());
-        super::decode_fast_win(win, addr, mode)
+        assert_eq!(fast(&[0x74], 0, Mode::Bits64), None);
+        assert_eq!(fast(&[], 0, Mode::Bits64), None);
     }
 
     #[test]
-    fn windowed_fast_path_matches_packed_exhaustively() {
-        // The windowed decoder's contract: with >= 16 buffer bytes it is
-        // decode_fast_packed exactly. Exhaust all 2-byte heads (every
-        // opcode, every prefix/REX + opcode, every 0F + op2 combination
-        // falls inside this space) over tails that vary the ModRM/SIB/
-        // displacement bytes the length computation can consume.
-        let tails: [&[u8]; 4] = [
-            &[0x00; 14],
-            &[0xFF; 14],
-            &[0x05, 0x44, 0x24, 0x08, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x11, 0x22],
-            &[0x84, 0xC0, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08],
-        ];
-        for mode in [Mode::Bits64, Mode::Bits32] {
-            for b0 in 0u8..=255 {
-                for b1 in 0u8..=255 {
-                    for tail in tails {
-                        let mut code = vec![b0, b1];
-                        code.extend_from_slice(tail);
-                        assert_eq!(
-                            fast_win(&code, 0x40_1000, mode),
-                            super::decode_fast_packed(&code, 0x40_1000, mode),
-                            "bytes {b0:#04x} {b1:#04x} tail {tail:x?} {mode:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_fast_path_matches_packed_on_deep_prefix_chains() {
+    fn windowed_fast_path_matches_full_decoder_on_deep_prefix_chains() {
         // Three- and four-byte heads (prefix + REX + 0F + op2) reach the
         // deepest shifts of the window walker.
         let heads: [&[u8]; 6] = [
@@ -1759,37 +1421,32 @@ mod tests {
                     let mut code = head.to_vec();
                     code.push(op);
                     code.extend_from_slice(&tail);
-                    assert_eq!(
-                        fast_win(&code, 0x40_1000, mode),
-                        super::decode_fast_packed(&code, 0x40_1000, mode),
-                        "head {head:x?} op {op:#04x} {mode:?}"
-                    );
+                    assert_fast_agrees(&code, 0x40_1000, mode);
                 }
             }
         }
     }
 
     #[test]
-    fn branchless_modrm_length_matches_table_for_every_pair() {
-        // The ALU form must agree with the table/branch form on all
-        // 65 536 (ModRM, SIB) byte pairs — including the mod=0 rm=4
-        // SIB.base=5 disp32 corner the four exhaustive-head tails miss.
-        for m in 0u64..256 {
-            for s in 0u64..256 {
-                let rest = m | (s << 8);
-                assert_eq!(
-                    super::win_modrm_len_bl(rest),
-                    super::win_modrm_len(rest),
-                    "modrm {m:#04x} sib {s:#04x}"
-                );
+    fn branchless_modrm_length_matches_full_decoder_for_every_pair() {
+        // The ALU form must advance exactly as far as the full decoder's
+        // `modrm` cursor on all 65 536 (ModRM, SIB) byte pairs — including
+        // the mod=0 rm=4 SIB.base=5 disp32 corner.
+        for m in 0u8..=255 {
+            for s in 0u8..=255 {
+                let code = [m, s, 0, 0, 0, 0];
+                let mut cur = Cursor { code: &code, pos: 0 };
+                modrm(&mut cur, false).expect("six bytes cover every ModRM form");
+                let rest = u64::from(m) | u64::from(s) << 8;
+                assert_eq!(super::win_modrm_len_bl(rest), cur.pos, "modrm {m:#04x} sib {s:#04x}");
             }
         }
     }
 
     #[test]
-    fn windowed_fast_path_matches_packed_under_rex_with_every_modrm() {
-        // The 2-byte-head exhaustive test varies the post-REX ModRM byte
-        // over only four tails; the branchless REX fold deserves the
+    fn windowed_fast_path_matches_full_decoder_under_rex_with_every_modrm() {
+        // The two-byte-head exhaustive test varies the post-REX ModRM
+        // byte over only four tails; the branchless REX fold deserves the
         // full 256. REX values cover W/B set and clear.
         let tail = [0x44u8, 0x24, 0x08, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x11, 0x22];
         for rex in [0x40u8, 0x41, 0x44, 0x48, 0x4F] {
@@ -1797,40 +1454,7 @@ mod tests {
                 for modrm in 0u8..=255 {
                     let mut code = vec![rex, op, modrm];
                     code.extend_from_slice(&tail);
-                    assert_eq!(
-                        fast_win(&code, 0x40_1000, Mode::Bits64),
-                        super::decode_fast_packed(&code, 0x40_1000, Mode::Bits64),
-                        "rex {rex:#04x} op {op:#04x} modrm {modrm:#04x}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn one_byte_mask_and_tags_agree_with_fast_dispatch() {
-        // The kernel classifier's "one" lane must mark exactly the bytes
-        // the dispatch fast path completes in one byte with a fixed tag
-        // and no target — independent of the following bytes. Pad bytes
-        // (90/CC) are deliberately excluded (the run-skipper owns them).
-        for mode in [Mode::Bits64, Mode::Bits32] {
-            let mask = if mode.is_64() { &super::ONE_MASK_64 } else { &super::ONE_MASK_32 };
-            for b in 0u8..=255 {
-                let in_mask = mask[(b >> 6) as usize] >> (b & 63) & 1 != 0;
-                for filler in [0x00u8, 0x90, 0xC3, 0xFF] {
-                    let mut code = [filler; 16];
-                    code[0] = b;
-                    let fast = super::decode_fast_packed(&code, 0x1000, mode);
-                    if in_mask {
-                        assert_eq!(
-                            fast,
-                            Some((1, super::ONE_TAG[b as usize], 0)),
-                            "byte {b:#04x} filler {filler:#04x} {mode:?}"
-                        );
-                    }
-                }
-                if b == 0x90 || b == 0xCC {
-                    assert!(!in_mask, "pad byte {b:#04x} must stay out of the one-byte mask");
+                    assert_fast_agrees(&code, 0x40_1000, Mode::Bits64);
                 }
             }
         }

@@ -1,174 +1,63 @@
-//! Vectorized sweep kernels with runtime tier dispatch.
+//! Vectorized sweep kernels, in two tiers fixed at compile time.
 //!
-//! The three dominant scans of the sweep pipeline — ENDBR needle search,
-//! padding-run skipping, and bulk first-byte classification — in four
-//! implementations selected at runtime:
+//! The two byte scans of the sweep pipeline — the ENDBR needle search
+//! and the padding-run skipper — in two implementations:
 //!
-//! * **AVX2** (`core::arch::x86_64`, 32-byte compares, `pshufb`
-//!   nibble-table set membership for the classifier),
-//! * **SSE2** (16-byte compares; the classifier's "one" lane falls back
-//!   to the table loop — SSE2 has no byte shuffle),
-//! * **SWAR** (portable `u64` tricks: XOR + trailing-zeros mismatch
-//!   scan, bit-folded equality masks),
-//! * **Scalar** (the byte-at-a-time reference every other tier is
-//!   differentially tested against).
+//! * **SSE2** (16-byte compares) on x86-64, where SSE2 is
+//!   architecturally guaranteed, so no runtime feature check is needed;
+//! * **Scalar** everywhere else, and as the byte-at-a-time reference
+//!   ([`scalar`]) that `tests/kernel_differential.rs` checks SSE2
+//!   against bit for bit.
 //!
-//! The active tier is detected once per process via
-//! `is_x86_feature_detected!` and can be forced down with the
-//! `FUNSEEKER_KERNEL_TIER` environment variable (`avx2`, `sse2`,
-//! `swar`, `scalar`) so portable paths stay covered on wide hosts; every
-//! kernel also takes the tier explicitly so tests and benches can pin
-//! one. All tiers are bit-identical by construction and by
-//! `tests/kernel_differential.rs`.
+//! There is no runtime selection: interleaved end-to-end runs could not
+//! tell AVX2, SSE2 and scalar apart (EXPERIMENTS.md), so the build picks
+//! the one tier its target guarantees.
 
-// The only unsafe code in the crate: SIMD intrinsics guarded by runtime
-// feature detection.
+// The only unsafe code in the crate: SSE2 intrinsics, which every
+// x86-64 CPU supports.
 #![allow(unsafe_code)]
 
-use std::sync::atomic::{AtomicU8, Ordering};
+#[cfg(target_arch = "x86_64")]
+use sse2 as native;
 
-use crate::decode::{ONE_MASK_32, ONE_MASK_64};
-use crate::mode::Mode;
+#[cfg(not(target_arch = "x86_64"))]
+use scalar as native;
 
-/// Kernel implementation tier, in decreasing capability order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
+/// Kernel implementation tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
-    /// 32-byte AVX2 kernels (requires runtime `avx2`).
-    Avx2 = 0,
-    /// 16-byte SSE2 kernels (baseline on `x86_64`).
-    Sse2 = 1,
-    /// Portable 8-byte SWAR kernels (any architecture).
-    Swar = 2,
-    /// Byte-at-a-time reference kernels.
-    Scalar = 3,
+    /// 16-byte SSE2 kernels (x86-64 builds).
+    Sse2,
+    /// Byte-at-a-time kernels (every other target).
+    Scalar,
 }
-
-/// Cached [`KernelTier::active`] value; `u8::MAX` = not yet resolved.
-static ACTIVE: AtomicU8 = AtomicU8::new(u8::MAX);
 
 impl KernelTier {
-    /// Every tier, widest first — the iteration order of the
-    /// differential suites and benches.
-    pub const ALL: [KernelTier; 4] =
-        [KernelTier::Avx2, KernelTier::Sse2, KernelTier::Swar, KernelTier::Scalar];
-
-    /// The widest tier this CPU supports.
-    pub fn detect() -> KernelTier {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return KernelTier::Avx2;
-            }
-            // SSE2 is architecturally guaranteed on x86-64.
+    /// The tier this build's kernels use: [`KernelTier::Sse2`] on
+    /// x86-64, [`KernelTier::Scalar`] elsewhere. A label for reports —
+    /// the choice is made at compile time.
+    pub const fn active() -> KernelTier {
+        if cfg!(target_arch = "x86_64") {
             KernelTier::Sse2
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            KernelTier::Swar
+        } else {
+            KernelTier::Scalar
         }
     }
-
-    /// Whether this tier can run on the current CPU.
-    pub fn is_supported(self) -> bool {
-        self >= KernelTier::detect()
-    }
-
-    /// The tier encoded by `v` (the `repr(u8)` discriminant); values
-    /// past the narrowest tier clamp to [`KernelTier::Scalar`]. This is
-    /// the decode side of the one-byte caches (`ACTIVE`, the per-pool
-    /// probe slot).
-    pub fn from_u8(v: u8) -> KernelTier {
-        match v {
-            0 => KernelTier::Avx2,
-            1 => KernelTier::Sse2,
-            2 => KernelTier::Swar,
-            _ => KernelTier::Scalar,
-        }
-    }
-
-    /// The tier the sweep uses: [`KernelTier::detect`], clamped down by
-    /// the `FUNSEEKER_KERNEL_TIER` environment variable when set
-    /// (unknown values are ignored; a request *above* the CPU's
-    /// capability is clamped to it). Resolved once per process.
-    pub fn active() -> KernelTier {
-        match ACTIVE.load(Ordering::Relaxed) {
-            u8::MAX => {
-                let detected = KernelTier::detect();
-                let tier = match std::env::var("FUNSEEKER_KERNEL_TIER").as_deref() {
-                    Ok("avx2") => KernelTier::Avx2.max(detected),
-                    Ok("sse2") => KernelTier::Sse2.max(detected),
-                    Ok("swar") => KernelTier::Swar.max(detected),
-                    Ok("scalar") => KernelTier::Scalar.max(detected),
-                    _ => detected,
-                };
-                ACTIVE.store(tier as u8, Ordering::Relaxed);
-                tier
-            }
-            v => KernelTier::from_u8(v),
-        }
-    }
-}
-
-/// Per-64-byte-block first-byte classification bitmaps (bit `k` =
-/// block byte `k`; bits at or past the block length are zero).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockClass {
-    /// Pad bytes (`90` NOP / `CC` INT3) — the run-skipper's lane.
-    pub pad: u64,
-    /// One-byte-complete instructions (ret/leave/hlt/push r/…): the
-    /// sweep pushes these straight from the precomputed tag table
-    /// without entering the decoder.
-    pub one: u64,
 }
 
 /// All offsets in `code` where an ENDBR encoding (`F3 0F 1E FA` /
-/// `F3 0F 1E FB`) begins — the whole-region needle scan that feeds
-/// FILTERENDBR's candidate set before the sweep runs.
-pub fn find_endbr(code: &[u8], tier: KernelTier) -> Vec<u32> {
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only reachable when `is_x86_feature_detected!`
-        // confirmed AVX2 (KernelTier::active/is_supported), or when a
-        // test/bench pinned it on a CPU that has it.
-        KernelTier::Avx2 => unsafe { avx2::find_endbr(code) },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => sse2::find_endbr(code),
-        KernelTier::Scalar => scalar::find_endbr(code),
-        _ => swar::find_endbr(code),
-    }
+/// `F3 0F 1E FB`) begins — the whole-region needle scan behind
+/// `endbr_pattern_scan`'s superset ENDBR recovery, which finds end
+/// branches the linear sweep swallowed inside other instructions.
+pub fn find_endbr(code: &[u8]) -> Vec<u32> {
+    native::find_endbr(code)
 }
 
 /// First index in `start..hi` whose byte differs from `byte` (`hi` when
 /// the run covers the rest) — the padding-run skipper.
-pub fn pad_run_end(code: &[u8], start: usize, hi: usize, byte: u8, tier: KernelTier) -> usize {
+pub fn pad_run_end(code: &[u8], start: usize, hi: usize, byte: u8) -> usize {
     debug_assert!(start <= hi && hi <= code.len());
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `find_endbr` — the tier implies CPU support.
-        KernelTier::Avx2 => unsafe { avx2::pad_run_end(code, start, hi, byte) },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => sse2::pad_run_end(code, start, hi, byte),
-        KernelTier::Scalar => scalar::pad_run_end(code, start, hi, byte),
-        _ => swar::pad_run_end(code, start, hi, byte),
-    }
-}
-
-/// Classifies one block of at most 64 bytes (see [`BlockClass`]). The
-/// "one" set is mode-dependent (`40`–`4F` are instructions in 32-bit
-/// mode, REX prefixes in 64-bit).
-pub fn classify_block(block: &[u8], mode: Mode, tier: KernelTier) -> BlockClass {
-    debug_assert!(block.len() <= 64);
-    let mask = if mode.is_64() { &ONE_MASK_64 } else { &ONE_MASK_32 };
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `find_endbr` — the tier implies CPU support.
-        KernelTier::Avx2 => unsafe { avx2::classify_block(block, mode.is_64()) },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => sse2::classify_block(block, mask),
-        KernelTier::Scalar => scalar::classify_block(block, mask),
-        _ => swar::classify_block(block, mask),
-    }
+    native::pad_run_end(code, start, hi, byte)
 }
 
 /// Whether a verified ENDBR encoding starts at `i` (the `F3` byte).
@@ -181,11 +70,13 @@ fn endbr_at(code: &[u8], i: usize) -> bool {
         && code[i + 3] & 0xFE == 0xFA
 }
 
-/// Byte-at-a-time reference kernels.
-mod scalar {
+/// Byte-at-a-time kernels: the tier of non-x86-64 builds and the
+/// reference the SSE2 tier is differentially tested against.
+pub mod scalar {
     use super::endbr_at;
 
-    pub(super) fn find_endbr(code: &[u8]) -> Vec<u32> {
+    /// Scalar [`find_endbr`](super::find_endbr).
+    pub fn find_endbr(code: &[u8]) -> Vec<u32> {
         let mut out = Vec::new();
         for i in 0..code.len().saturating_sub(3) {
             if endbr_at(code, i) {
@@ -195,120 +86,13 @@ mod scalar {
         out
     }
 
-    pub(super) fn pad_run_end(code: &[u8], start: usize, hi: usize, byte: u8) -> usize {
+    /// Scalar [`pad_run_end`](super::pad_run_end).
+    pub fn pad_run_end(code: &[u8], start: usize, hi: usize, byte: u8) -> usize {
         let mut i = start;
         while i < hi && code[i] == byte {
             i += 1;
         }
         i
-    }
-
-    pub(super) fn classify_block(block: &[u8], one_mask: &[u64; 4]) -> super::BlockClass {
-        let mut cls = super::BlockClass::default();
-        for (k, &b) in block.iter().enumerate() {
-            if b == 0x90 || b == 0xCC {
-                cls.pad |= 1 << k;
-            }
-            if one_mask[(b >> 6) as usize] >> (b & 63) & 1 != 0 {
-                cls.one |= 1 << k;
-            }
-        }
-        cls
-    }
-}
-
-/// Portable 8-byte SWAR kernels.
-mod swar {
-    use super::endbr_at;
-
-    /// Splats a byte across a word.
-    const fn splat(b: u8) -> u64 {
-        b as u64 * 0x0101_0101_0101_0101
-    }
-
-    /// Exact per-byte zero mask: bit 0 of each byte set iff that byte
-    /// of `x` is zero (OR-fold each byte's bits into its LSB, invert).
-    #[inline]
-    fn zero_byte_lsbs(x: u64) -> u64 {
-        let mut y = x | (x >> 4);
-        y |= y >> 2;
-        y |= y >> 1;
-        !y & splat(0x01)
-    }
-
-    /// Collapses byte LSBs (each byte 0 or 1) to 8 packed bits, byte 0
-    /// at bit 0.
-    #[inline]
-    fn collapse_lsbs(m: u64) -> u64 {
-        m.wrapping_mul(0x0102_0408_1020_4080) >> 56
-    }
-
-    #[inline]
-    fn load_le(code: &[u8], i: usize) -> u64 {
-        u64::from_le_bytes(code[i..i + 8].try_into().expect("8-byte window"))
-    }
-
-    pub(super) fn find_endbr(code: &[u8]) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        while i + 8 <= code.len() {
-            let mut hits = zero_byte_lsbs(load_le(code, i) ^ splat(0xF3));
-            while hits != 0 {
-                let k = i + (hits.trailing_zeros() >> 3) as usize;
-                if endbr_at(code, k) {
-                    out.push(k as u32);
-                }
-                hits &= hits - 1;
-            }
-            i += 8;
-        }
-        while i + 4 <= code.len() {
-            if endbr_at(code, i) {
-                out.push(i as u32);
-            }
-            i += 1;
-        }
-        out
-    }
-
-    pub(super) fn pad_run_end(code: &[u8], start: usize, hi: usize, byte: u8) -> usize {
-        let pat = splat(byte);
-        let mut i = start;
-        while i + 8 <= hi {
-            let x = load_le(code, i) ^ pat;
-            if x != 0 {
-                return i + (x.trailing_zeros() >> 3) as usize;
-            }
-            i += 8;
-        }
-        while i < hi && code[i] == byte {
-            i += 1;
-        }
-        i
-    }
-
-    pub(super) fn classify_block(block: &[u8], one_mask: &[u64; 4]) -> super::BlockClass {
-        let mut cls = super::BlockClass::default();
-        let mut k = 0usize;
-        while k + 8 <= block.len() {
-            let w = load_le(block, k);
-            let pads = zero_byte_lsbs(w ^ splat(0x90)) | zero_byte_lsbs(w ^ splat(0xCC));
-            cls.pad |= collapse_lsbs(pads) << k;
-            k += 8;
-        }
-        for (k, &b) in block.iter().enumerate().skip(k) {
-            if b == 0x90 || b == 0xCC {
-                cls.pad |= 1 << k;
-            }
-        }
-        // Arbitrary 256-set membership needs a shuffle unit; the
-        // portable tier keeps the table loop for the "one" lane.
-        for (k, &b) in block.iter().enumerate() {
-            if one_mask[(b >> 6) as usize] >> (b & 63) & 1 != 0 {
-                cls.one |= 1 << k;
-            }
-        }
-        cls
     }
 }
 
@@ -378,284 +162,16 @@ mod sse2 {
         }
         i
     }
-
-    pub(super) fn classify_block(block: &[u8], one_mask: &[u64; 4]) -> super::BlockClass {
-        let mut cls = super::BlockClass::default();
-        let (nop, int3) = (splat(0x90), splat(0xCC));
-        let mut k = 0usize;
-        while k + 16 <= block.len() {
-            let pads = eq_mask16(block, k, nop) | eq_mask16(block, k, int3);
-            cls.pad |= u64::from(pads) << k;
-            k += 16;
-        }
-        for (k, &b) in block.iter().enumerate().skip(k) {
-            if b == 0x90 || b == 0xCC {
-                cls.pad |= 1 << k;
-            }
-        }
-        // No pshufb below SSSE3: the "one" lane keeps the table loop.
-        for (k, &b) in block.iter().enumerate() {
-            if one_mask[(b >> 6) as usize] >> (b & 63) & 1 != 0 {
-                cls.one |= 1 << k;
-            }
-        }
-        cls
-    }
-}
-
-/// 32-byte AVX2 kernels. Every function is `target_feature(avx2)` —
-/// callable only after runtime detection.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use core::arch::x86_64::*;
-
-    use super::endbr_at;
-    use crate::decode::{ONE_MASK_32, ONE_MASK_64};
-
-    /// `pshufb` nibble LUT pair for an arbitrary 256-bit set: `ta[l]`
-    /// holds membership bits of bytes `(h << 4) | l` for high nibbles
-    /// 0–7, `tb[l]` for 8–15; both duplicated across the two 128-bit
-    /// lanes (`vpshufb` shuffles within lanes).
-    const fn nibble_luts(mask: [u64; 4]) -> ([u8; 32], [u8; 32]) {
-        let mut ta = [0u8; 32];
-        let mut tb = [0u8; 32];
-        let mut l = 0usize;
-        while l < 16 {
-            let mut h = 0usize;
-            while h < 8 {
-                let b = (h << 4) | l;
-                if mask[b >> 6] >> (b & 63) & 1 != 0 {
-                    ta[l] |= 1 << h;
-                }
-                let b = ((h + 8) << 4) | l;
-                if mask[b >> 6] >> (b & 63) & 1 != 0 {
-                    tb[l] |= 1 << h;
-                }
-                h += 1;
-            }
-            ta[l + 16] = ta[l];
-            tb[l + 16] = tb[l];
-            l += 1;
-        }
-        (ta, tb)
-    }
-
-    const LUT64: ([u8; 32], [u8; 32]) = nibble_luts(ONE_MASK_64);
-    const LUT32: ([u8; 32], [u8; 32]) = nibble_luts(ONE_MASK_32);
-    /// `1 << (h & 7)` selector bytes, lane-duplicated.
-    const POW2: [u8; 32] = {
-        let mut p = [0u8; 32];
-        let mut i = 0usize;
-        while i < 32 {
-            p[i] = 1 << (i & 7);
-            i += 1;
-        }
-        p
-    };
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn load(bytes: &[u8; 32]) -> __m256i {
-        _mm256_loadu_si256(bytes.as_ptr().cast())
-    }
-
-    /// 32-bit membership mask of 32 bytes in the LUT-encoded set.
-    #[target_feature(enable = "avx2")]
-    unsafe fn member_mask32(v: __m256i, ta: __m256i, tb: __m256i, pow2: __m256i) -> u32 {
-        let lo = _mm256_and_si256(v, _mm256_set1_epi8(0x0F));
-        let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), _mm256_set1_epi8(0x0F));
-        let rows_lo = _mm256_shuffle_epi8(ta, lo);
-        let rows_hi = _mm256_shuffle_epi8(tb, lo);
-        let sel = _mm256_shuffle_epi8(pow2, _mm256_and_si256(hi, _mm256_set1_epi8(7)));
-        let is_lo = _mm256_cmpgt_epi8(_mm256_set1_epi8(8), hi);
-        let rows =
-            _mm256_or_si256(_mm256_and_si256(rows_lo, is_lo), _mm256_andnot_si256(is_lo, rows_hi));
-        let hit = _mm256_cmpeq_epi8(_mm256_and_si256(rows, sel), sel);
-        _mm256_movemask_epi8(hit) as u32
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn find_endbr(code: &[u8]) -> Vec<u32> {
-        let mut out = Vec::new();
-        let pat = _mm256_set1_epi8(0xF3u8 as i8);
-        let mut i = 0usize;
-        while i + 32 <= code.len() {
-            // SAFETY: 32 readable bytes at code[i..] by the loop bound.
-            let v = _mm256_loadu_si256(code.as_ptr().add(i).cast());
-            let mut hits = _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, pat)) as u32;
-            while hits != 0 {
-                let k = i + hits.trailing_zeros() as usize;
-                if endbr_at(code, k) {
-                    out.push(k as u32);
-                }
-                hits &= hits - 1;
-            }
-            i += 32;
-        }
-        while i + 4 <= code.len() {
-            if endbr_at(code, i) {
-                out.push(i as u32);
-            }
-            i += 1;
-        }
-        out
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn pad_run_end(code: &[u8], start: usize, hi: usize, byte: u8) -> usize {
-        let pat = _mm256_set1_epi8(byte as i8);
-        let mut i = start;
-        while i + 32 <= hi {
-            // SAFETY: 32 readable bytes at code[i..] by the loop bound.
-            let v = _mm256_loadu_si256(code.as_ptr().add(i).cast());
-            let eq = _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, pat)) as u32;
-            if eq != u32::MAX {
-                return i + (!eq).trailing_zeros() as usize;
-            }
-            i += 32;
-        }
-        while i < hi && code[i] == byte {
-            i += 1;
-        }
-        i
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn classify_block(block: &[u8], is64: bool) -> super::BlockClass {
-        let (ta, tb) = if is64 { &LUT64 } else { &LUT32 };
-        let (ta, tb, pow2) = (load(ta), load(tb), load(&POW2));
-        let nop = _mm256_set1_epi8(0x90u8 as i8);
-        let int3 = _mm256_set1_epi8(0xCCu8 as i8);
-        if block.len() == 64 {
-            // SAFETY: exactly 64 readable bytes.
-            let v0 = _mm256_loadu_si256(block.as_ptr().cast());
-            let v1 = _mm256_loadu_si256(block.as_ptr().add(32).cast());
-            let pad = |v: __m256i| {
-                let eq = _mm256_or_si256(_mm256_cmpeq_epi8(v, nop), _mm256_cmpeq_epi8(v, int3));
-                _mm256_movemask_epi8(eq) as u32
-            };
-            return super::BlockClass {
-                pad: u64::from(pad(v0)) | u64::from(pad(v1)) << 32,
-                one: u64::from(member_mask32(v0, ta, tb, pow2))
-                    | u64::from(member_mask32(v1, ta, tb, pow2)) << 32,
-            };
-        }
-        // Partial tail block: classify a zero-padded copy. 0x00 is in
-        // neither set, so the padding contributes no bits.
-        let mut buf = [0u8; 64];
-        buf[..block.len()].copy_from_slice(block);
-        let v0 = _mm256_loadu_si256(buf.as_ptr().cast());
-        let v1 = _mm256_loadu_si256(buf.as_ptr().add(32).cast());
-        let pad = |v: __m256i| {
-            let eq = _mm256_or_si256(_mm256_cmpeq_epi8(v, nop), _mm256_cmpeq_epi8(v, int3));
-            _mm256_movemask_epi8(eq) as u32
-        };
-        super::BlockClass {
-            pad: u64::from(pad(v0)) | u64::from(pad(v1)) << 32,
-            one: u64::from(member_mask32(v0, ta, tb, pow2))
-                | u64::from(member_mask32(v1, ta, tb, pow2)) << 32,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn xorshift(x: &mut u64) -> u64 {
-        *x ^= *x << 13;
-        *x ^= *x >> 7;
-        *x ^= *x << 17;
-        *x
-    }
-
-    fn supported_tiers() -> Vec<KernelTier> {
-        KernelTier::ALL.into_iter().filter(|t| t.is_supported()).collect()
-    }
-
+    // Kernel equivalence lives in `tests/kernel_differential.rs`.
     #[test]
-    fn tier_order_and_detection() {
-        assert!(KernelTier::Avx2 < KernelTier::Scalar);
-        let d = KernelTier::detect();
-        assert!(d.is_supported());
-        assert!(KernelTier::Scalar.is_supported());
-        assert!(KernelTier::Swar.is_supported());
-        // active() resolves and is stable.
-        assert_eq!(KernelTier::active(), KernelTier::active());
-        assert!(KernelTier::active().is_supported());
-    }
-
-    #[test]
-    fn find_endbr_tiers_agree_on_synthetic_and_random_input() {
-        let mut code = Vec::new();
-        // ENDBR at every alignment class, plus bait (F3 without the
-        // tail, truncated needles at the very end).
-        for k in 0..67usize {
-            code.extend(std::iter::repeat_n(0x55, k % 5));
-            code.extend_from_slice(&[0xF3, 0x0F, 0x1E, if k % 2 == 0 { 0xFA } else { 0xFB }]);
-            code.push(0xF3);
-        }
-        let mut x = 0x5eedu64;
-        code.extend((0..999).map(|_| xorshift(&mut x) as u8));
-        code.extend_from_slice(&[0xF3, 0x0F, 0x1E]); // truncated at EOF
-        let want = scalar::find_endbr(&code);
-        assert!(!want.is_empty());
-        for tier in supported_tiers() {
-            assert_eq!(find_endbr(&code, tier), want, "{tier:?}");
-        }
-    }
-
-    #[test]
-    fn pad_run_end_tiers_agree_at_every_alignment() {
-        let mut code = vec![0xC3u8];
-        code.extend(std::iter::repeat_n(0x90u8, 200));
-        code.push(0xC3);
-        code.extend(std::iter::repeat_n(0xCCu8, 37));
-        for start in 1..code.len() {
-            for hi in [start, start + 1, code.len().min(start + 33), code.len()] {
-                for byte in [0x90u8, 0xCC] {
-                    let want = scalar::pad_run_end(&code, start, hi, byte);
-                    for tier in supported_tiers() {
-                        assert_eq!(
-                            pad_run_end(&code, start, hi, byte, tier),
-                            want,
-                            "{tier:?} start={start} hi={hi} byte={byte:#x}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn classify_block_tiers_agree_on_all_bytes_and_lengths() {
-        // Every byte value in every block position, plus random blocks,
-        // at every partial-block length.
-        let all: Vec<u8> = (0u8..=255).collect();
-        let mut x = 0xabcdu64;
-        let rand: Vec<u8> = (0..256).map(|_| xorshift(&mut x) as u8).collect();
-        for mode in [Mode::Bits64, Mode::Bits32] {
-            for src in [&all, &rand] {
-                for start in (0..=192).step_by(16) {
-                    for len in [0usize, 1, 7, 8, 15, 16, 31, 32, 33, 63, 64] {
-                        let block = &src[start..start + len];
-                        let want = {
-                            let mask = if mode.is_64() {
-                                &super::ONE_MASK_64
-                            } else {
-                                &super::ONE_MASK_32
-                            };
-                            scalar::classify_block(block, mask)
-                        };
-                        for tier in supported_tiers() {
-                            assert_eq!(
-                                classify_block(block, mode, tier),
-                                want,
-                                "{tier:?} {mode:?} start={start} len={len}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
+    fn active_tier_matches_the_target() {
+        let want = if cfg!(target_arch = "x86_64") { KernelTier::Sse2 } else { KernelTier::Scalar };
+        assert_eq!(KernelTier::active(), want);
     }
 }

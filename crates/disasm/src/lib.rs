@@ -22,8 +22,8 @@
 //! assert_eq!(n_endbr, 1);
 //! ```
 
-// Unsafe code is confined to the `kernels` module (SIMD intrinsics
-// behind runtime feature detection); everything else stays checked.
+// Unsafe code is confined to the `kernels` module (SSE2 intrinsics on
+// x86-64); everything else stays checked.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -48,8 +48,8 @@ pub use kernels::KernelTier;
 pub use mode::Mode;
 pub use par::{
     par_sweep, par_sweep_forced, par_sweep_forced_pooled, par_sweep_into, par_sweep_pooled,
-    sweep_all, sweep_all_tiered, SweepOutput, PAR_MIN_BYTES,
+    sweep_all, SweepOutput, PAR_MIN_BYTES,
 };
 pub use stats::SweepStats;
 pub use stream::{Flow, InsnStream, Insns, Marks, Successors};
-pub use sweep::{LinearSweep, SupersetSweep};
+pub use sweep::LinearSweep;

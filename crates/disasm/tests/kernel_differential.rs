@@ -1,50 +1,23 @@
-//! Differential tests for the vectorized sweep kernels: every supported
-//! tier (AVX2 / SSE2 / SWAR) must agree bit-for-bit with the scalar
-//! reference on every input — at every alignment phase, across every
-//! vector-width boundary straddle, on adversarial needle layouts, and on
-//! arbitrary random buffers (proptest). The sealed-stream rank lookups
-//! ride along: sealing is a pure accelerator, so a sealed stream must
-//! answer every address query exactly like its unsealed twin.
+//! Differential tests for the sweep kernels: the build's tier (SSE2 on
+//! x86-64) must agree bit-for-bit with the `kernels::scalar` reference
+//! on every input — at every alignment phase, across every vector-width
+//! boundary straddle, on adversarial needle layouts, and on arbitrary
+//! random buffers (proptest). On other targets both sides run the
+//! scalar code and the suite checks it against itself. The sealed-stream
+//! rank lookups ride along: sealing is a pure accelerator, so a sealed
+//! stream must answer every address query exactly like its unsealed
+//! twin.
 
-use funseeker_disasm::kernels::{classify_block, find_endbr, pad_run_end, BlockClass};
-use funseeker_disasm::{sweep_all, InsnStream, KernelTier, Mode};
+use funseeker_disasm::kernels::{find_endbr, pad_run_end, scalar};
+use funseeker_disasm::{sweep_all, InsnStream, Mode};
 use proptest::prelude::*;
-
-/// The tiers this host can actually run (always includes Swar + Scalar).
-fn tiers() -> Vec<KernelTier> {
-    KernelTier::ALL.into_iter().filter(|t| t.is_supported()).collect()
-}
-
-/// Scalar-reference ENDBR scan.
-fn ref_endbr(code: &[u8]) -> Vec<u32> {
-    (0..code.len().saturating_sub(3))
-        .filter(|&i| {
-            code[i] == 0xF3 && code[i + 1] == 0x0F && code[i + 2] == 0x1E && code[i + 3] | 1 == 0xFB
-        })
-        .map(|i| i as u32)
-        .collect()
-}
-
-/// Scalar-reference pad-run scan.
-fn ref_pad_run(code: &[u8], start: usize, hi: usize, byte: u8) -> usize {
-    let mut i = start;
-    while i < hi && code[i] == byte {
-        i += 1;
-    }
-    i
-}
-
-/// Scalar-reference block classification via the tier API itself.
-fn ref_classify(block: &[u8], mode: Mode) -> BlockClass {
-    classify_block(block, mode, KernelTier::Scalar)
-}
 
 #[test]
 fn endbr_scan_every_alignment_and_straddle() {
     // One needle slid across every offset of a buffer long enough that it
-    // straddles each 8/16/32-byte chunk boundary of every tier, embedded
-    // in F3 noise so candidate filtering is exercised, plus both FA/FB
-    // tails and a decoy (F3 0F 1E FC is not an ENDBR).
+    // straddles each 16-byte chunk boundary, embedded in F3 noise so
+    // candidate filtering is exercised, plus both FA/FB tails and a
+    // decoy (F3 0F 1E FC is not an ENDBR).
     for tail in [0xFAu8, 0xFB, 0xFC] {
         for pos in 0..100usize {
             let mut code = vec![0xF3u8; 104];
@@ -52,15 +25,13 @@ fn endbr_scan_every_alignment_and_straddle() {
             code[pos + 1] = 0x0F;
             code[pos + 2] = 0x1E;
             code[pos + 3] = tail;
-            let want = ref_endbr(&code);
+            let want = scalar::find_endbr(&code);
             if tail == 0xFC {
                 assert!(!want.contains(&(pos as u32)));
             } else {
                 assert!(want.contains(&(pos as u32)));
             }
-            for tier in tiers() {
-                assert_eq!(find_endbr(&code, tier), want, "{tier:?} pos={pos} tail={tail:#x}");
-            }
+            assert_eq!(find_endbr(&code), want, "pos={pos} tail={tail:#x}");
         }
     }
 }
@@ -74,11 +45,8 @@ fn endbr_scan_truncated_needles_at_buffer_end() {
         for keep in 0..4usize {
             let mut code = vec![0x90u8; pad];
             code.extend_from_slice(&needle[..keep]);
-            let want = ref_endbr(&code);
-            assert!(want.is_empty());
-            for tier in tiers() {
-                assert_eq!(find_endbr(&code, tier), want, "{tier:?} pad={pad} keep={keep}");
-            }
+            assert!(scalar::find_endbr(&code).is_empty());
+            assert!(find_endbr(&code).is_empty(), "pad={pad} keep={keep}");
         }
     }
 }
@@ -95,57 +63,14 @@ fn pad_run_every_start_phase_and_cap() {
         }
         for start in 0..48usize {
             for hi in [start, start + 1, start + 17, n - 3, n] {
-                let want = ref_pad_run(&code, start, hi, 0xCC);
-                for tier in tiers() {
-                    assert_eq!(
-                        pad_run_end(&code, start, hi, 0xCC, tier),
-                        want,
-                        "{tier:?} start={start} hi={hi} mism={mism:?}"
-                    );
-                }
+                assert_eq!(
+                    pad_run_end(&code, start, hi, 0xCC),
+                    scalar::pad_run_end(&code, start, hi, 0xCC),
+                    "start={start} hi={hi} mism={mism:?}"
+                );
             }
         }
     }
-}
-
-#[test]
-fn classify_every_block_length() {
-    // A block containing every interesting byte class, truncated to every
-    // possible partial-block length.
-    let mut block = Vec::new();
-    for i in 0..64u8 {
-        block.push(match i % 8 {
-            0 => 0x90, // pad
-            1 => 0xCC, // pad
-            2 => 0xC3, // one (ret)
-            3 => 0x55, // one (push)
-            4 => 0x48, // REX: one in 32-bit only
-            5 => 0xC9, // one (leave)
-            6 => 0xE8, // neither (call rel32)
-            _ => i,    // assorted
-        });
-    }
-    for mode in [Mode::Bits64, Mode::Bits32] {
-        for len in 0..=64usize {
-            let b = &block[..len];
-            let want = ref_classify(b, mode);
-            for tier in tiers() {
-                assert_eq!(classify_block(b, mode, tier), want, "{tier:?} {mode:?} len={len}");
-            }
-        }
-    }
-}
-
-#[test]
-fn classify_rex_bytes_flip_with_mode() {
-    // 40..4F are one-byte inc/dec in 32-bit mode but REX prefixes in
-    // 64-bit; the mask the classifier uses must flip accordingly.
-    let block: Vec<u8> = (0x40u8..0x50).collect();
-    let c64 = ref_classify(&block, Mode::Bits64);
-    let c32 = ref_classify(&block, Mode::Bits32);
-    assert_eq!(c64.one, 0, "REX prefixes are not one-byte instructions");
-    assert_eq!(c32.one, 0xFFFF, "inc/dec reg are one-byte instructions");
-    assert_eq!(c64.pad | c32.pad, 0);
 }
 
 #[test]
@@ -173,14 +98,13 @@ fn sealed_stream_answers_like_unsealed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random buffers: all three kernels agree with scalar at arbitrary
+    /// Random buffers: both kernels agree with scalar at arbitrary
     /// content, lengths, and subslice phases.
     #[test]
     fn kernels_match_scalar_on_random_buffers(
         code in proptest::collection::vec(any::<u8>(), 0..2500),
         seeds in proptest::collection::vec((any::<u16>(), any::<bool>()), 0..12),
         phase in 0usize..64,
-        wide in any::<bool>(),
     ) {
         let mut code = code;
         // Plant needles and pad runs so hits are dense enough to matter.
@@ -192,31 +116,14 @@ proptest! {
             }
         }
         let code = &code[phase.min(code.len())..];
-        let mode = if wide { Mode::Bits64 } else { Mode::Bits32 };
 
-        let want_endbr = ref_endbr(code);
-        for tier in tiers() {
-            prop_assert_eq!(&find_endbr(code, tier), &want_endbr, "find_endbr {:?}", tier);
-        }
+        prop_assert_eq!(find_endbr(code), scalar::find_endbr(code));
         for start in [0usize, 1, 31].into_iter().filter(|&s| s <= code.len()) {
             for byte in [0x90u8, 0xCC] {
-                let want = ref_pad_run(code, start, code.len(), byte);
-                for tier in tiers() {
-                    prop_assert_eq!(
-                        pad_run_end(code, start, code.len(), byte, tier),
-                        want,
-                        "pad_run_end {:?} start={} byte={:#x}", tier, start, byte
-                    );
-                }
-            }
-        }
-        for block in code.chunks(64) {
-            let want = ref_classify(block, mode);
-            for tier in tiers() {
                 prop_assert_eq!(
-                    classify_block(block, mode, tier),
-                    want,
-                    "classify {:?} {:?}", tier, mode
+                    pad_run_end(code, start, code.len(), byte),
+                    scalar::pad_run_end(code, start, code.len(), byte),
+                    "pad_run_end start={} byte={:#x}", start, byte
                 );
             }
         }

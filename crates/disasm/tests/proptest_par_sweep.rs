@@ -9,8 +9,8 @@ use funseeker_corpus::{
     compile, Arch, BuildConfig, Compiler, FunctionSpec, Lang, OptLevel, ProgramSpec,
 };
 use funseeker_disasm::{
-    par_sweep, par_sweep_forced, par_sweep_forced_pooled, par_sweep_pooled, sweep_all,
-    sweep_all_tiered, KernelTier, LinearSweep, Mode,
+    par_sweep, par_sweep_forced, par_sweep_forced_pooled, par_sweep_pooled, sweep_all, LinearSweep,
+    Mode,
 };
 use funseeker_elf::Elf;
 use funseeker_pool::Pool;
@@ -46,16 +46,6 @@ fn assert_shard_invariant(
         code.len()
     );
     prop_assert_eq!(seq.error_count, reference.error_count(), "sequential error count");
-    // Every supported kernel tier produces the same stream as the
-    // process-default one.
-    for tier in KernelTier::ALL {
-        if !tier.is_supported() {
-            continue;
-        }
-        let tiered = sweep_all_tiered(code, base, mode, tier);
-        prop_assert_eq!(&tiered.stream, &seq.stream, "tier {:?} stream diverges", tier);
-        prop_assert_eq!(tiered.error_count, seq.error_count, "tier {:?} error count", tier);
-    }
     // The adaptive entry point may pick either path; the contract holds
     // regardless.
     let adaptive = par_sweep(code, base, mode, 8);

@@ -57,12 +57,11 @@
 //! committed duplicate-heavy throughput.
 //!
 //! The `io` subcommand measures the zero-copy I/O path: cold mmap vs
-//! buffered-read ingestion, the `FSC3` binary cache codec vs the
-//! retired v2 text codec, and a duplicate-heavy daemon barrage served
-//! from pre-encoded reply bytes. Flags mirror `perf` against
+//! buffered-read ingestion, the `FSC3` binary cache codec's decode
+//! throughput, and a duplicate-heavy daemon barrage served from
+//! pre-encoded reply bytes. Flags mirror `perf` against
 //! `BENCH_io.json`; `--check` gates on the newest committed
-//! `decode_v3` throughput and fails outright if the v3 decoder is
-//! slower than the v2 one.
+//! `decode_v3` throughput.
 //!
 //! The `multicore` subcommand measures multi-core scaling: a
 //! power-of-two ladder of worker-pool widths up to `--cores N` (default

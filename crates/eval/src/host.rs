@@ -20,7 +20,8 @@ pub struct Host {
     pub cores_used: usize,
     /// `available_parallelism()` on the host.
     pub available_parallelism: usize,
-    /// Active kernel tier name (`avx2`, `sse2`, `swar`, `scalar`).
+    /// The build's kernel tier name (`sse2` on x86-64, `scalar`
+    /// elsewhere). Older entries may record `avx2` or `swar`.
     pub tier: String,
 }
 
@@ -61,7 +62,8 @@ mod tests {
         let h = host();
         assert!(h.cores_used >= 1);
         assert!(h.available_parallelism >= 1);
-        assert!(["avx2", "sse2", "swar", "scalar"].contains(&h.tier.as_str()));
+        let want = if cfg!(target_arch = "x86_64") { "sse2" } else { "scalar" };
+        assert_eq!(h.tier, want);
         let fields = h.json_fields();
         assert!(fields.contains("\"cores_used\": "), "{fields}");
         assert!(fields.contains("\"tier\": \""), "{fields}");
@@ -69,7 +71,7 @@ mod tests {
 
     #[test]
     fn comparability_rules() {
-        let h = Host { cores_used: 2, available_parallelism: 8, tier: "avx2".into() };
+        let h = Host { cores_used: 2, available_parallelism: 8, tier: "sse2".into() };
         assert!(h.comparable_with(None), "pre-metadata entries stay comparable");
         assert!(h.comparable_with(Some(2.0)));
         assert!(!h.comparable_with(Some(1.0)), "different width is not comparable");

@@ -9,15 +9,13 @@
 //! | `ingest_mmap` | cold ingestion via memory-mapped [`Image`]s: map + content-hash every corpus file (MB/s) |
 //! | `ingest_read` | the same files through the buffered `fs::read` fallback (MB/s) |
 //! | `decode_v3` | decoding `FSC3` binary cache records back into `Analysis` values (records/s) |
-//! | `decode_v2` | the retired line-oriented v2 text codec on the same analyses (records/s) |
 //! | `io_serve_dup` | a duplicate-heavy daemon barrage where every repeat reply is a memcpy of the cached pre-encoded record (req/s) |
 //!
 //! Every decoded analysis and every daemon reply is checked
 //! bit-identical to the direct computation before it counts. Results
 //! append to `BENCH_io.json` (same line-oriented trajectory format as
 //! `BENCH_sweep.json`); `--check` gates CI on the newest committed
-//! `decode_v3` throughput and on the in-run invariant that the v3
-//! decoder is not slower than the v2 one.
+//! `decode_v3` throughput.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,7 +35,7 @@ pub(crate) const SCHEMA: &str = "funseeker-bench-io-v1";
 #[derive(Debug, Clone)]
 pub struct IoRow {
     /// Row name (`ingest_mmap`, `ingest_read`, `decode_v3`,
-    /// `decode_v2`, `io_serve_dup`).
+    /// `io_serve_dup`).
     pub label: String,
     /// Best-of-N wall time in milliseconds.
     pub ms: f64,
@@ -155,21 +153,14 @@ pub fn run(quick: bool) -> IoReport {
     push("ingest_read", &samples, mb, "MB/s", 0.0);
     let _ = std::fs::remove_dir_all(&dir);
 
-    // ---- codec: the same analyses through both record formats,
-    // decode verified bit-identical to the original.
+    // ---- codec: the analyses through the record format, decode
+    // verified bit-identical to the original.
     let fp = cache::config_fingerprint(&config);
     let keyed: Vec<(u64, &[u8], &Analysis)> =
         distinct.iter().map(|&(img, a)| (hash_bytes(img), img, a)).collect();
     let v3: Vec<(u64, Vec<u8>)> = keyed
         .iter()
         .map(|&(h, _, a)| (mix64(h, fp), cache::encode(h, fp, a).expect("corpus analyses encode")))
-        .collect();
-    let v2: Vec<(u64, String)> = keyed
-        .iter()
-        .map(|&(h, _, a)| {
-            let key = mix64(h, fp);
-            (key, cache::serialize_v2(key, a).expect("corpus analyses serialize"))
-        })
         .collect();
 
     let mut samples = Vec::with_capacity(reps);
@@ -182,17 +173,6 @@ pub fn run(quick: bool) -> IoReport {
         samples.push(t.elapsed().as_secs_f64());
     }
     push("decode_v3", &samples, v3.len() as f64, "records/s", 0.0);
-
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        for ((key, text), &(_, _, a)) in v2.iter().zip(&keyed) {
-            let decoded = cache::deserialize_v2(*key, text).expect("round trip");
-            assert_eq!(&decoded, a, "v2 decode diverged");
-        }
-        samples.push(t.elapsed().as_secs_f64());
-    }
-    push("decode_v2", &samples, v2.len() as f64, "records/s", 0.0);
 
     // ---- serving: duplicate-heavy traffic, where after the first
     // computation every reply body is a memcpy of the cached
@@ -302,36 +282,21 @@ impl IoReport {
 
 /// CI regression gate: the fresh `decode_v3` throughput must reach
 /// `min_ratio` of the newest committed entry (noise-widened, and
-/// skipped when the committed entry ran on a different core count), and
-/// — unconditionally — the v3 decoder must not be slower than the v2
-/// codec it replaced.
+/// skipped when the committed entry ran on a different core count).
 pub fn check_against(committed: &str, fresh: &IoReport, min_ratio: f64) -> Result<String, String> {
     let v3 = fresh
         .rows
         .iter()
         .find(|r| r.label == "decode_v3")
         .ok_or("fresh measurement has no decode_v3 row")?;
-    let v2 = fresh
-        .rows
-        .iter()
-        .find(|r| r.label == "decode_v2")
-        .ok_or("fresh measurement has no decode_v2 row")?;
-    if v3.rate < v2.rate {
-        return Err(format!(
-            "v3 decode ({:.1} records/s) is slower than the v2 codec it replaced \
-             ({:.1} records/s)",
-            v3.rate, v2.rate
-        ));
-    }
     let Some(baseline) = trajectory::last_value(committed, "decode_v3", "rate") else {
         return Err("committed BENCH_io.json has no decode_v3 entry".into());
     };
     let committed_cores = trajectory::last_row_meta(committed, "decode_v3", "cores_used");
     if !fresh.host.comparable_with(committed_cores) {
         return Ok(format!(
-            "v3 {:.1}x the v2 codec; baseline skipped: committed decode_v3 entry was measured \
-             with {} cores, this run uses {} — not comparable",
-            v3.rate / v2.rate,
+            "baseline skipped: committed decode_v3 entry was measured with {} cores, this run \
+             uses {} — not comparable",
             committed_cores.unwrap_or(0.0),
             fresh.host.cores_used
         ));
@@ -345,13 +310,12 @@ pub fn check_against(committed: &str, fresh: &IoReport, min_ratio: f64) -> Resul
     let ratio = v3.rate / baseline;
     let msg = format!(
         "v3 decode: {:.1} records/s vs committed {:.1} records/s ({:.0}% of baseline, threshold \
-         {:.0}% incl. {:.0}% noise tolerance); {:.1}x the v2 codec",
+         {:.0}% incl. {:.0}% noise tolerance)",
         v3.rate,
         baseline,
         ratio * 100.0,
         threshold * 100.0,
         tol * 100.0,
-        v3.rate / v2.rate,
     );
     if ratio < threshold {
         Err(msg)
@@ -383,7 +347,6 @@ mod tests {
                 row("ingest_mmap", 900.0, "MB/s"),
                 row("ingest_read", 600.0, "MB/s"),
                 row("decode_v3", 50_000.0, "records/s"),
-                row("decode_v2", 9_000.0, "records/s"),
                 row("io_serve_dup", 12_000.0, "req/s"),
             ],
         }
@@ -401,11 +364,6 @@ mod tests {
         let mut slow = fake_report();
         slow.rows[2].rate = 10_000.0;
         assert!(check_against(&doc, &slow, 0.7).is_err());
-        // v3 slower than v2 fails even when the baseline would pass.
-        let mut inverted = fake_report();
-        inverted.rows[2].rate = 8_000.0;
-        inverted.rows[3].rate = 9_000.0;
-        assert!(check_against(&doc, &inverted, 0.0).is_err());
         // Newest entry is authoritative after an append.
         let mut faster = fake_report();
         faster.rows[2].rate = 60_000.0;
@@ -423,7 +381,7 @@ mod tests {
                 .find(|r| r.label == label)
                 .unwrap_or_else(|| panic!("row {label} missing"))
         };
-        for label in ["ingest_mmap", "ingest_read", "decode_v3", "decode_v2", "io_serve_dup"] {
+        for label in ["ingest_mmap", "ingest_read", "decode_v3", "io_serve_dup"] {
             assert!(get(label).rate > 0.0, "{label} measured nothing");
         }
         if std::env::var("FUNSEEKER_MMAP").as_deref() != Ok("0") {

@@ -484,7 +484,7 @@ mod tests {
             host: crate::host::Host {
                 cores_used: top,
                 available_parallelism: top,
-                tier: "swar".into(),
+                tier: "sse2".into(),
             },
             ladder,
             serve: ServeRow {

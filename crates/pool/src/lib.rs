@@ -71,7 +71,7 @@ pub mod affinity;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// A type- and lifetime-erased unit of work.
@@ -103,8 +103,6 @@ pub struct Pool {
     helped: AtomicU64,
     /// Workers that successfully pinned themselves to a CPU.
     pinned: Arc<AtomicUsize>,
-    /// One-byte caller-owned probe cache; see [`Pool::probe_cache`].
-    probe_cache: AtomicU8,
 }
 
 /// A point-in-time snapshot of how a pool's work was distributed; see
@@ -230,29 +228,12 @@ impl Pool {
                 })
                 .expect("spawn pool worker");
         }
-        Pool {
-            injector,
-            workers,
-            executed,
-            helped: AtomicU64::new(0),
-            pinned,
-            probe_cache: AtomicU8::new(u8::MAX),
-        }
+        Pool { injector, workers, executed, helped: AtomicU64::new(0), pinned }
     }
 
     /// Number of worker threads (excluding helping submitters).
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// A one-byte scratch slot callers may use to cache a per-pool
-    /// hardware probe (`u8::MAX` = unset, by convention a first-writer-
-    /// wins slot). The pool attaches no meaning to the value; the disasm
-    /// crate stores its resolved kernel tier here so every sweep morsel
-    /// dispatched through this pool shares one CPUID probe instead of
-    /// re-reading a process-global.
-    pub fn probe_cache(&self) -> &AtomicU8 {
-        &self.probe_cache
     }
 
     /// Snapshot of the work-distribution counters (relaxed reads; exact
